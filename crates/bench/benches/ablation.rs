@@ -4,14 +4,15 @@
 //!   "searching in the target node buffer is performed in binary fashion to
 //!   improve the performance");
 //! * **batched vs per-pattern** occurrence scans (the paper defers repeated
-//!   occurrences to one final backbone scan);
+//!   occurrences to one final backbone scan), beside the reverse-link walk
+//!   that replaced both on the in-memory serving path;
 //! * **compact vs reference** layout query cost (the §5 layout trades a
 //!   little indirection for 4× less space);
 //! * **RT migration** exposure: building on repeat-rich vs random text.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use genseq::{iid_sequence, rng};
-use spine::occurrences::{find_all_ends, find_all_ends_batch, Target};
+use spine::occurrences::{backbone_scan_batch, backbone_scan_ends, find_all_ends, Target};
 use spine::ops::SpineOps;
 use spine::{CompactSpine, Spine};
 use spine_bench::Dataset;
@@ -43,7 +44,7 @@ fn target_buffer(c: &mut Criterion) {
     let first = s.locate(pat).unwrap();
     let mut g = c.benchmark_group("target-buffer");
     g.sample_size(10);
-    g.bench_function("binary-search", |b| b.iter(|| find_all_ends(&s, pat).len()));
+    g.bench_function("binary-search", |b| b.iter(|| backbone_scan_ends(&s, pat).len()));
     g.bench_function("linear-scan", |b| {
         b.iter(|| occurrences_linear(&s, first, pat.len() as u32).len())
     });
@@ -62,10 +63,13 @@ fn batched_occurrences(c: &mut Criterion) {
     let mut g = c.benchmark_group("occurrence-scans");
     g.sample_size(10);
     g.bench_function("one-scan-per-pattern", |b| {
-        b.iter(|| pats.iter().map(|p| find_all_ends(&s, p).len()).sum::<usize>())
+        b.iter(|| pats.iter().map(|p| backbone_scan_ends(&s, p).len()).sum::<usize>())
     });
     g.bench_function("single-batched-scan", |b| {
-        b.iter(|| find_all_ends_batch(&s, &targets).values().map(Vec::len).sum::<usize>())
+        b.iter(|| backbone_scan_batch(&s, &targets).values().map(Vec::len).sum::<usize>())
+    });
+    g.bench_function("link-walk-per-pattern", |b| {
+        b.iter(|| pats.iter().map(|p| find_all_ends(&s, p).len()).sum::<usize>())
     });
     g.finish();
 }

@@ -383,7 +383,9 @@ fn table5_6(opts: &Opts, nodes_checked: bool) {
         st.counters().reset();
         sp.counters().reset();
         let (m_st, t_st) = time(|| st.maximal_matches(&query, opts.threshold));
-        let (m_sp, t_sp) = time(|| sp.maximal_matches(&query, opts.threshold));
+        // The paper's algorithm: occurrences expanded by one backbone scan.
+        let (m_sp, t_sp) =
+            time(|| spine::matching::maximal_matches_scanned(&sp, &query, opts.threshold));
         assert_eq!(m_st, m_sp, "engines must agree on {}", d.name);
         if nodes_checked {
             rows.push(
@@ -1453,8 +1455,8 @@ fn explain(opts: &Opts) {
     if pattern_str == "ACA" {
         // The paper's hand-derived path for "aca": vertebra 0→1 on A, rib
         // 1→3 on C (pt 1 admits pl 1), rib 3→5 rejected (pl 2 > pt 1),
-        // extrib at 5 (prt 1, pt 2) lands on node 7; the backbone scan then
-        // adds the second occurrence ending at 10.
+        // extrib at 5 (prt 1, pt 2) lands on node 7; the link walk then
+        // adds the second occurrence ending at 10, node 7's link child.
         let ev = trace.structural_events();
         assert_eq!(ev[0], TraceEvent::Vertebra { node: 0, pl: 0, ch: 0 });
         assert_eq!(
@@ -1466,6 +1468,7 @@ fn explain(opts: &Opts) {
             TraceEvent::Rib { node: 3, ch: 0, dest: 5, pt: 1, pl: 2, admitted: false }
         );
         assert_eq!(ev[3], TraceEvent::Extrib { at: 5, prt: 1, dest: 7, pt: 2, pl: 2, taken: true });
+        assert_eq!(ev[4], TraceEvent::WalkStart { first: 7, len: 3 });
         assert_eq!(trace.first_end, Some(7));
         assert_eq!(trace.ends, vec![7, 10]);
         eprintln!("OK: trace matches the paper's hand-derived Figure 3 path (ends [7, 10])");

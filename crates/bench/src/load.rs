@@ -731,6 +731,7 @@ impl<T: StringIndex + Send + Sync> ServeIndex for ServeAdapter<T> {
                 edges_traversed: 0,
                 links_followed: 0,
                 extribs_scanned: 0,
+                children_visited: 0,
             },
         }
     }

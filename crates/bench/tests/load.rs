@@ -136,6 +136,7 @@ impl ServeIndex for StalledIndex {
             edges_traversed: 0,
             links_followed: 0,
             extribs_scanned: 0,
+            children_visited: 0,
         }
     }
 }

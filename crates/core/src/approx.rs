@@ -114,7 +114,7 @@ pub fn find_all_hamming<S: SpineOps + ?Sized>(
         }
     }
     // Expand every distinct matched string to all its occurrences in one
-    // backbone scan.
+    // batch (one backbone scan where the structure keeps no children lists).
     let targets: Vec<Target> =
         leaves.keys().map(|&first_end| Target { first_end, len: pattern.len() as u32 }).collect();
     let occs = find_all_ends_batch(s, &targets);

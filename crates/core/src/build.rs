@@ -26,6 +26,7 @@
 
 use crate::node::{Extrib, Node, NodeId, Rib, ROOT};
 use crate::observe::{BuildEvent, BuildObserver, BuildPhase, BuildStats, MemBreakdown};
+use crate::ops::LinkChildren;
 use strindex::{Alphabet, Code, Counters, Error, OnlineIndex, PackedText, Result};
 
 /// The reference SPINE index: explicit nodes and edges in memory.
@@ -36,6 +37,11 @@ use strindex::{Alphabet, Code, Counters, Error, OnlineIndex, PackedText, Result}
 pub struct Spine {
     pub(crate) alphabet: Alphabet,
     pub(crate) nodes: Vec<Node>,
+    /// Reverse-link children lists, threaded: `next_sibling[c]` is the next
+    /// node after `c` whose link points at `link(c)`, or [`ROOT`] at the end
+    /// of the list (heads live in [`Node::first_child`]). Append-only, one
+    /// slot per node, maintained by `set_link`.
+    pub(crate) next_sibling: Vec<NodeId>,
     pub(crate) counters: Counters,
     /// Backbone labels word-packed at `alphabet.pack_bits()` for the packed
     /// search fast path; `None` for unpackable alphabets, or from the first
@@ -47,15 +53,27 @@ impl Spine {
     /// An empty index (just the root) over `alphabet`.
     pub fn new(alphabet: Alphabet) -> Self {
         let packed = alphabet.pack_bits().map(PackedText::new);
-        Spine { alphabet, nodes: vec![Node::new(Code::MAX)], counters: Counters::new(), packed }
+        Spine {
+            alphabet,
+            nodes: vec![Node::new(Code::MAX)],
+            next_sibling: vec![ROOT],
+            counters: Counters::new(),
+            packed,
+        }
     }
 
     /// Build the index for an encoded text in one call.
     pub fn build(alphabet: Alphabet, text: &[Code]) -> Result<Self> {
         let mut s = Spine::new(alphabet);
-        s.nodes.reserve(text.len());
+        s.reserve(text.len());
         s.extend_from(text)?;
         Ok(s)
+    }
+
+    /// Room for `additional` more nodes without reallocating.
+    fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.next_sibling.reserve(additional);
     }
 
     /// Convenience: encode `text` with `alphabet` and build.
@@ -73,7 +91,7 @@ impl Spine {
         observer: &mut O,
     ) -> Result<Self> {
         let mut s = Spine::new(alphabet);
-        s.nodes.reserve(text.len());
+        s.reserve(text.len());
         s.extend_from_observed(text, observer)?;
         Ok(s)
     }
@@ -116,7 +134,10 @@ impl Spine {
     }
 
     /// Heap bytes split by edge kind (capacity-based, consistent with
-    /// [`Spine::heap_bytes`]).
+    /// [`Spine::heap_bytes`]). The reverse-link sibling array the
+    /// occurrence walk uses is not one of the paper's four columns; it goes
+    /// beside them in [`MemBreakdown::link_children`] (the list heads sit in
+    /// node padding and cost nothing).
     pub fn mem_breakdown(&self) -> MemBreakdown {
         let n = self.nodes.len() as u64;
         let ribs: u64 = self
@@ -134,6 +155,8 @@ impl Spine {
             links: n * (std::mem::size_of::<NodeId>() as u64 + std::mem::size_of::<u32>() as u64),
             ribs,
             extribs,
+            link_children: self.next_sibling.capacity() as u64
+                * std::mem::size_of::<NodeId>() as u64,
         }
     }
 
@@ -182,6 +205,7 @@ impl Spine {
         let t = self.nodes.len() as NodeId; // id of the new node
         let prev = t - 1;
         self.nodes.push(Node::new(c));
+        self.next_sibling.push(ROOT);
         // Keep the packed shadow of the backbone labels in sync; a code that
         // does not fit the packing (DNA separator) disables it for good.
         if let Some(p) = &mut self.packed {
@@ -190,7 +214,10 @@ impl Spine {
             }
         }
         if prev == ROOT {
-            // First character: link to root with LEL 0 (already the default).
+            // First character: link to root with LEL 0. The link fields
+            // already hold it; setting it anyway enters node 1 in the root's
+            // children list, so the walk for the empty pattern reaches it.
+            self.set_link(t, ROOT, 0);
             if O::ENABLED {
                 o.event(BuildEvent::FirstChar);
                 o.event(BuildEvent::LinkSet { dest: ROOT, lel: 0 });
@@ -295,11 +322,16 @@ impl Spine {
         }
     }
 
+    /// Set `node`'s link and push `node` onto `dest`'s children list. Called
+    /// exactly once per node, as its append finishes.
     #[inline]
     fn set_link(&mut self, node: NodeId, dest: NodeId, lel: u32) {
         let n = &mut self.nodes[node as usize];
         n.link = dest;
         n.lel = lel;
+        let d = &mut self.nodes[dest as usize];
+        self.next_sibling[node as usize] = d.first_child;
+        d.first_child = node;
     }
 }
 
@@ -331,6 +363,10 @@ impl crate::ops::SpineOps for Spine {
 
     fn ops_counters(&self) -> &Counters {
         &self.counters
+    }
+
+    fn link_children(&self) -> Option<LinkChildren<'_>> {
+        Some(LinkChildren::new(&self.nodes, &self.next_sibling))
     }
 
     fn backbone_packing(&self) -> Option<u32> {
@@ -371,6 +407,7 @@ impl OnlineIndex for Spine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::SpineOps;
 
     /// Build over the paper's running example `aaccacaaca`.
     fn paper_spine() -> (Alphabet, Spine) {
@@ -510,6 +547,41 @@ mod tests {
         let plain = Spine::build(a.clone(), &codes).unwrap();
         let (observed, _) = Spine::build_with_stats(a, &codes).unwrap();
         assert_eq!(plain.nodes(), observed.nodes());
+    }
+
+    #[test]
+    fn children_lists_invert_the_links() {
+        let a = Alphabet::dna();
+        for text in [&b""[..], b"A", b"AAAA", b"AACCACAACA", b"ACGTACGGTACGTTTACGACG"] {
+            let s = Spine::build_from_bytes(a.clone(), text).unwrap();
+            let lists = s.link_children().unwrap();
+            let mut seen = 0;
+            for k in 0..s.nodes().len() as NodeId {
+                let kids: Vec<NodeId> = lists.children(k).collect();
+                let expect: Vec<NodeId> = (1..s.nodes().len() as NodeId)
+                    .rev()
+                    .filter(|&c| s.nodes()[c as usize].link == k)
+                    .collect();
+                assert_eq!(kids, expect, "children of {k} in {text:?}");
+                seen += kids.len();
+            }
+            assert_eq!(seen, s.len(), "every non-root node hangs in exactly one list");
+        }
+        // Node 1's root link is implicit in construction; it is listed too.
+        let s = Spine::build_from_bytes(a, b"CA").unwrap();
+        let lists = s.link_children().unwrap();
+        assert_eq!(lists.children(ROOT).collect::<Vec<_>>(), vec![2, 1]);
+    }
+
+    #[test]
+    fn heap_bytes_count_the_sibling_array() {
+        let s = Spine::build_from_bytes(Alphabet::dna(), b"AACCACAACA").unwrap();
+        let siblings = s.next_sibling.capacity() * std::mem::size_of::<NodeId>();
+        assert!(siblings >= 11 * 4);
+        assert_eq!(s.mem_breakdown().link_children, siblings as u64);
+        let m = s.mem_breakdown();
+        let nodes = s.nodes.capacity() * std::mem::size_of::<Node>();
+        assert_eq!(s.heap_bytes(), nodes + (m.ribs + m.extribs) as usize + siblings);
     }
 
     #[test]

@@ -343,6 +343,7 @@ impl CompactSpine {
                 + self.lel_overflow.len() as u64 * 16,
             ribs,
             extribs,
+            link_children: 0,
         }
     }
 

@@ -1102,6 +1102,7 @@ impl DiskSpine {
             ribs: records * (1 + l.rib_slots as u64 * 9), // count + slots
             extribs: records * (1 + EXTRIB_SLOTS as u64 * 12)       // count + slots
                 + self.spill.lock().values().map(|v| v.len() as u64 * 12).sum::<u64>(),
+            link_children: 0,
         }
     }
 
@@ -1810,6 +1811,7 @@ impl DiskSpine {
             links: parts[1],
             ribs: parts[2],
             extribs: parts[3],
+            link_children: 0,
         };
         meta.read_exact(&mut b8)?;
         let overflow_count = u64::from_le_bytes(b8);
@@ -2052,7 +2054,7 @@ mod tests {
             dt.verify_against_text(&codes).unwrap();
             // Same logical traversal as the reference engine; pages are the
             // only physical difference.
-            assert_eq!(dt.structural_events(), r.explain(&p).structural_events());
+            assert_eq!(dt.logical_events(), r.explain(&p).logical_events());
             let (hits, misses) = dt.page_fetches();
             assert!(hits + misses > 0, "a single-frame pool must show traffic");
         }
@@ -2698,7 +2700,7 @@ mod sealed_tests {
             let p = a.encode(p).unwrap();
             let dt = d.explain(&p);
             dt.verify_against_text(&codes).unwrap();
-            assert_eq!(dt.structural_events(), r.explain(&p).structural_events());
+            assert_eq!(dt.logical_events(), r.explain(&p).logical_events());
             let (hits, misses) = dt.page_fetches();
             assert!(hits + misses > 0, "a single-frame pool must show traffic");
         }

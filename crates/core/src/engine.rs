@@ -8,9 +8,11 @@
 //! * a **worker pool** of OS threads sharing one [`Arc`]-held index;
 //! * a **bounded admission queue** that coalesces submitted patterns — each
 //!   worker drains up to [`EngineConfig::batch_max`] requests per wakeup and
-//!   resolves them through a *single* backbone scan
-//!   ([`crate::occurrences::find_all_ends_batch`]), exactly the batching
-//!   opportunity §4 of the paper identifies for multi-pattern workloads.
+//!   resolves them in one call
+//!   ([`crate::occurrences::try_find_all_ends_batch`]): one link walk per
+//!   pattern where the index keeps reverse-link children lists, otherwise a
+//!   *single* shared backbone scan — the batching opportunity §4 of the
+//!   paper identifies for multi-pattern workloads.
 //!   When the queue is at [`EngineConfig::queue_capacity`], the
 //!   [`ShedPolicy`] decides whether a new submission blocks for space or is
 //!   shed with [`SubmitError::Overloaded`];
@@ -35,7 +37,8 @@
 //!   built with [`QueryEngine::new`] record nothing and pay nothing.
 //!
 //! Any [`ServeIndex`] works. Every [`FallibleSpineOps`] engine is one for
-//! free (a blanket impl coalesces the batch into a single backbone scan):
+//! free (a blanket impl answers the batch through
+//! [`crate::occurrences::try_find_all_ends_batch`]):
 //! the reference [`crate::Spine`], the §5 [`crate::CompactSpine`], a
 //! [`GeneralizedSpine`] over many documents, or a page-resident
 //! [`crate::DiskSpine`] — whose storage faults degrade the affected
@@ -114,8 +117,9 @@ impl std::error::Error for SubmitError {}
 pub struct EngineConfig {
     /// Worker threads in the pool (clamped to ≥ 1).
     pub workers: usize,
-    /// Most requests one worker coalesces into a single backbone scan
-    /// (clamped to ≥ 1).
+    /// Most requests one worker coalesces into one index call — a single
+    /// shared backbone scan on indexes without children lists (clamped to
+    /// ≥ 1).
     pub batch_max: usize,
     /// Most requests the admission queue holds before the [`ShedPolicy`]
     /// applies (clamped to ≥ 1).
@@ -266,7 +270,8 @@ impl MetricsSnapshot {
         self.workers.iter().map(|w| w.batches).sum()
     }
 
-    /// Mean queries per backbone scan — the coalescing factor. 0 when idle.
+    /// Mean queries per coalesced batch — the coalescing factor. 0 when
+    /// idle.
     pub fn mean_batch(&self) -> f64 {
         let b = self.batches();
         if b == 0 {
@@ -326,8 +331,9 @@ impl WorkerStats {
 /// patterns, one outcome per pattern, in order.
 ///
 /// Every [`FallibleSpineOps`] engine gets this for free via a blanket impl
-/// that resolves the whole batch with one shared backbone scan
-/// ([`crate::occurrences::try_find_all_ends_batch`]) and answers in
+/// that resolves the whole batch in one call
+/// ([`crate::occurrences::try_find_all_ends_batch`]: a link walk per
+/// pattern, or one shared backbone scan without children lists) and answers in
 /// concatenation coordinates ([`QueryOutcome::Done`]). Composite stores
 /// (the segmented LSM index) implement it directly and answer per document
 /// ([`QueryOutcome::DoneDocs`]). Either way the engine's queueing,
@@ -347,8 +353,7 @@ pub trait ServeIndex: Send + Sync {
 }
 
 /// The batching path every single-backbone engine shares: locate each
-/// pattern's valid path, then answer all located patterns with one shared
-/// backbone scan.
+/// pattern's valid path, then enumerate all located patterns at once.
 impl<S: FallibleSpineOps + Send + Sync> ServeIndex for S {
     fn answer_patterns(&self, patterns: &[&[Code]]) -> Vec<QueryOutcome> {
         let located: Vec<Located> = patterns
@@ -379,7 +384,8 @@ impl<S: FallibleSpineOps + Send + Sync> ServeIndex for S {
             .iter()
             .map(|l| match (l, &scanned) {
                 // The empty pattern ends at every node (serial
-                // `find_all_ends` agrees: its scan accepts all of 0..=n).
+                // `find_all_ends` agrees: its enumeration from the root
+                // accepts all of 0..=n).
                 (Located::Empty, _) => {
                     QueryOutcome::Done((0..=self.text_len() as NodeId).collect())
                 }
@@ -445,7 +451,7 @@ struct EngineTelemetry {
     result_merge: Arc<Histogram>,
     /// Submit → publish, per query ("engine.query_latency").
     query_latency: Arc<Histogram>,
-    /// Requests coalesced per backbone scan ("engine.batch_size").
+    /// Requests coalesced per batch ("engine.batch_size").
     batch_size: Arc<Histogram>,
     /// Rolling qps/quantile window fed per published query
     /// ([`QueryEngine::with_observability`]).
@@ -852,7 +858,7 @@ impl<S: ServeIndex + 'static> Drop for QueryEngine<S> {
 
 /// One worker: wait for work, coalesce up to `batch_max` live requests
 /// (finalizing expired ones as [`QueryOutcome::TimedOut`] on the way),
-/// resolve them in a single backbone scan, publish results, repeat until
+/// resolve them in one index call, publish results, repeat until
 /// shutdown.
 ///
 /// A panic inside [`answer_batch`] (e.g. an index whose accessors panic) is
@@ -1477,11 +1483,12 @@ mod tests {
         assert_eq!(m.completed, 10);
         assert_eq!(m.accounted(), m.submitted);
         assert_eq!(m.workers.iter().map(|w| w.queries).sum::<u64>(), 10);
-        // batch_max = 4 ⇒ at least ⌈10/4⌉ = 3 scans, and coalescing means
-        // strictly fewer scans than queries.
+        // batch_max = 4 ⇒ at least ⌈10/4⌉ = 3 batches, and coalescing means
+        // strictly fewer batches than queries.
         let batches = m.batches();
         assert!((3..=10).contains(&batches), "batches = {batches}");
         assert!(m.index.nodes_checked > 0);
+        assert!(m.index.children_visited > 0, "the reference layout answers by link walk");
         assert!(m.peak_queue_depth >= 1);
         assert!(m.mean_batch() >= 1.0);
         assert_eq!(m.worker_respawns, 0);

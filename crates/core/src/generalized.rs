@@ -217,6 +217,12 @@ impl SpineOps for GeneralizedSpine {
         self.spine.ops_counters()
     }
 
+    fn link_children(&self) -> Option<crate::ops::LinkChildren<'_>> {
+        // The concatenation is an ordinary text to the link tree, so the
+        // walk finds exactly what the backbone scan finds.
+        self.spine.link_children()
+    }
+
     fn backbone_packing(&self) -> Option<u32> {
         // A DNA concatenation self-disables (separators exceed 2 bits); a
         // protein one packs separators verbatim, which never match a

@@ -51,7 +51,8 @@
 //!
 //! Modules: [`build`] (online construction), [`search`] (valid-path
 //! traversal), [`engine`] (concurrent batched query serving),
-//! [`occurrences`] (the all-occurrence backbone scan),
+//! [`occurrences`] (all-occurrence enumeration: the reverse-link walk and
+//! the paper's backbone scan),
 //! [`matching`] (matching statistics & maximal matches), [`compact`] (the
 //! §5 Link-Table/Rib-Table layout, < 12 bytes per character), [`disk`]
 //! (page-resident engine), [`generalized`] (multi-string indexes),

@@ -15,17 +15,19 @@
 //! [`strindex::Counters`]).
 //!
 //! Occurrence expansion is deferred: all right-maximal matches are first
-//! collected, then *one* backbone scan resolves every repetition
-//! ([`crate::occurrences::find_all_ends_batch`]).
+//! collected, then one batch resolves every repetition
+//! ([`crate::occurrences::find_all_ends_batch`]) — a link walk per match
+//! where the structure keeps children lists, otherwise the paper's *single*
+//! backbone scan. [`maximal_matches_scanned`] pins the paper's scan.
 //!
 //! Generic over [`SpineOps`]: shared by the reference, compact, and disk
 //! representations.
 
 use crate::build::Spine;
 use crate::node::{NodeId, ROOT};
-use crate::occurrences::{find_all_ends_batch, Target};
+use crate::occurrences::{backbone_scan_batch, find_all_ends_batch, Target};
 use crate::ops::SpineOps;
-use strindex::{Code, MatchingIndex, MatchingStats, MaximalMatch};
+use strindex::{Code, FxHashMap, MatchingIndex, MatchingStats, MaximalMatch};
 
 /// From `node` with current match length `pl`, find the longest `k ≤ pl`
 /// such that the length-`k` suffix of the current match extends by `c`.
@@ -111,13 +113,33 @@ pub fn maximal_matches<S: SpineOps + ?Sized>(
     query: &[Code],
     min_len: usize,
 ) -> Vec<MaximalMatch> {
+    maximal_matches_via(s, query, min_len, |targets| find_all_ends_batch(s, targets))
+}
+
+/// [`maximal_matches`] with the occurrences always expanded by the paper's
+/// single backbone scan ([`backbone_scan_batch`]), whatever the structure
+/// keeps: the algorithm the paper's Table 5 timed.
+pub fn maximal_matches_scanned<S: SpineOps + ?Sized>(
+    s: &S,
+    query: &[Code],
+    min_len: usize,
+) -> Vec<MaximalMatch> {
+    maximal_matches_via(s, query, min_len, |targets| backbone_scan_batch(s, targets))
+}
+
+fn maximal_matches_via<S: SpineOps + ?Sized>(
+    s: &S,
+    query: &[Code],
+    min_len: usize,
+    enumerate: impl FnOnce(&[Target]) -> FxHashMap<Target, Vec<NodeId>>,
+) -> Vec<MaximalMatch> {
     let stats = matching_statistics(s, query);
     let reports = stats.right_maximal(min_len);
     let targets: Vec<Target> = reports
         .iter()
         .map(|&(_, len, first_end)| Target { first_end: first_end as NodeId, len: len as u32 })
         .collect();
-    let occurrences = find_all_ends_batch(s, &targets);
+    let occurrences = enumerate(&targets);
     let mut out = Vec::new();
     for (&(qs, len, _), t) in reports.iter().zip(&targets) {
         for &end in &occurrences[t] {
@@ -175,6 +197,7 @@ mod tests {
                 n.maximal_matches(&q, t),
                 "threshold {t}"
             );
+            assert_eq!(maximal_matches_scanned(&s, &q, t), n.maximal_matches(&q, t));
         }
     }
 

@@ -59,6 +59,12 @@ pub struct Node {
     pub link: NodeId,
     /// Longest Early-terminating suffix Length — the link's label.
     pub lel: u32,
+    /// Head of this node's reverse-link children list: the most recently
+    /// created node whose link points here, or [`ROOT`] when none does (the
+    /// root is never a link child). The rest of the list is threaded through
+    /// [`crate::Spine`]'s sibling array. Sits in padding the other fields
+    /// leave, so a node stays 64 bytes.
+    pub first_child: NodeId,
     /// Outgoing ribs (unordered; at most `alphabet.size() - 1` of them,
     /// e.g. ≤ 3 for DNA).
     pub ribs: Vec<Rib>,
@@ -69,7 +75,14 @@ pub struct Node {
 
 impl Node {
     pub(crate) fn new(vertebra_cl: Code) -> Self {
-        Node { vertebra_cl, link: ROOT, lel: 0, ribs: Vec::new(), extribs: Vec::new() }
+        Node {
+            vertebra_cl,
+            link: ROOT,
+            lel: 0,
+            first_child: ROOT,
+            ribs: Vec::new(),
+            extribs: Vec::new(),
+        }
     }
 
     /// Find this node's rib for character `c`, if any.
@@ -105,6 +118,11 @@ mod tests {
         assert_eq!(n.rib(2).unwrap().pt, 3);
         assert!(n.rib(0).is_none());
         assert_eq!(n.fanout(), 2);
+    }
+
+    #[test]
+    fn children_list_head_fits_in_padding() {
+        assert_eq!(std::mem::size_of::<Node>(), 64);
     }
 
     #[test]

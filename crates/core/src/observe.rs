@@ -159,10 +159,16 @@ pub struct MemBreakdown {
     pub ribs: u64,
     /// Bytes holding extribs (including any spill/side tables).
     pub extribs: u64,
+    /// Bytes of the reverse-link sibling array behind the occurrence walk
+    /// (see [`crate::ops::LinkChildren`]), 4 per node where kept. Reported
+    /// beside the paper's four columns and not part of [`total`](Self::total),
+    /// so the paper's space figures stay comparable.
+    pub link_children: u64,
 }
 
 impl MemBreakdown {
-    /// Total accounted bytes.
+    /// Total bytes of the paper's four columns (vertebrae, links, ribs,
+    /// extribs); [`link_children`](Self::link_children) is extra.
     pub fn total(&self) -> u64 {
         self.vertebrae + self.links + self.ribs + self.extribs
     }
@@ -657,8 +663,8 @@ mod tests {
 
     #[test]
     fn mem_breakdown_totals() {
-        let m = MemBreakdown { vertebrae: 10, links: 80, ribs: 36, extribs: 24 };
-        assert_eq!(m.total(), 150);
+        let m = MemBreakdown { vertebrae: 10, links: 80, ribs: 36, extribs: 24, link_children: 40 };
+        assert_eq!(m.total(), 150, "the sibling array is reported beside the total");
         assert!((m.bytes_per_node(10) - 15.0).abs() < 1e-9);
         assert_eq!(MemBreakdown::default().bytes_per_node(0), 0.0);
     }

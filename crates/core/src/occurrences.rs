@@ -1,23 +1,40 @@
-//! All-occurrence enumeration via the backbone scan (Section 4).
+//! All-occurrence enumeration (Section 4).
 //!
-//! After the valid path locates the *first* occurrence of a pattern, every
-//! further occurrence is found with the link property: a link from `j` to
-//! `k` with LEL `v` means the length-`v` strings ending at `j` and `k` are
-//! equal. So a single downstream scan suffices: node `j` ends an occurrence
-//! of a length-`L` pattern iff `lel(j) ≥ L` and `link(j)` points at an
-//! already-discovered occurrence end (checked by binary search in the
-//! paper's *target node buffer*).
+//! After the valid path locates the *first* occurrence of a pattern `w`,
+//! ending at node `fo(w)`, every further occurrence follows from the link
+//! property: a link from `j` to `k` with LEL `v` means the length-`v`
+//! strings ending at `j` and `k` are equal. So node `j > fo(w)` ends an
+//! occurrence of `w` iff `lel(j) ≥ |w|` and `link(j)` ends one. Two
+//! algorithms enumerate with it:
 //!
-//! Scanning the backbone once per pattern would be wasteful, so the batched
-//! entry point ([`find_all_ends_batch`]) resolves any number of patterns in
-//! one pass — exactly the deferral the paper describes for the maximal-match
-//! workload.
+//! * **The link walk**, output-sensitive. The occurrence ends are exactly
+//!   `fo(w)` plus the subtree below it in the *reverse-link tree* (the tree
+//!   of [`LinkChildren`]), entered through the children with `lel ≥ |w|`.
+//!   Below those children no LEL test is needed: if `k ≠ fo(w)` ends an
+//!   occurrence and `link(c) = k`, then `lel(c) ≥ |w|` — otherwise LET(c),
+//!   a suffix of `w`, would first occur at or before `fo(w) < k`. The walk
+//!   visits `deg(fo(w))` children of `fo(w)` plus one per further
+//!   occurrence, then sorts: O(occ log occ + deg(fo(w))) instead of
+//!   O(n − fo(w)).
+//! * **The backbone scan**, the paper's algorithm: one pass over
+//!   `fo(w)+1 ..= n`, accepting `j` when `lel(j) ≥ |w|` and `link(j)` is in
+//!   the sorted *target node buffer* (binary search). Its batched form
+//!   resolves any number of patterns in one pass, the deferral the paper
+//!   describes for the maximal-match workload. [`backbone_scan_ends`] and
+//!   [`backbone_scan_batch`] name it as the reference the walk is tested
+//!   against and the paper's reproductions time.
+//!
+//! Enumeration dispatches once, in [`try_occurrences_from_traced`] and
+//! [`try_find_all_ends_batch`], on [`FallibleSpineOps::link_children`]:
+//! structures that keep the lists (the in-memory [`crate::Spine`] and
+//! [`crate::GeneralizedSpine`]) walk, the rest (the §5 compact layout,
+//! page-resident engines, prefix views) scan.
 
 use crate::node::NodeId;
-use crate::ops::{FallibleSpineOps, Infallible, SpineOps};
+use crate::ops::{FallibleSpineOps, Infallible, LinkChildren, SpineOps};
 use crate::search::try_locate_traced;
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
-use strindex::{Code, FxHashMap, Result};
+use strindex::{Code, Counters, FxHashMap, Result};
 
 /// End positions (1-based) of all occurrences of `pattern`, ascending.
 pub fn find_all_ends<S: SpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Vec<NodeId> {
@@ -25,7 +42,7 @@ pub fn find_all_ends<S: SpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Vec<NodeI
 }
 
 /// Fallible [`find_all_ends`]: a storage failure during the valid-path walk
-/// or the backbone scan surfaces as `Err` instead of a panic.
+/// or the enumeration surfaces as `Err` instead of a panic.
 pub fn try_find_all_ends<S: FallibleSpineOps + ?Sized>(
     s: &S,
     pattern: &[Code],
@@ -34,7 +51,7 @@ pub fn try_find_all_ends<S: FallibleSpineOps + ?Sized>(
 }
 
 /// [`try_find_all_ends`] with a [`TraceSink`] attached: the valid-path walk
-/// and the backbone scan both report their decisions. This is the traversal
+/// and the enumeration both report their decisions. This is the traversal
 /// behind `explain` ([`crate::trace::explain`]).
 pub fn try_find_all_ends_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
     s: &S,
@@ -47,8 +64,8 @@ pub fn try_find_all_ends_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Si
     try_occurrences_from_traced(s, sink, first, pattern.len() as u32)
 }
 
-/// Single-target scan: all nodes ending an occurrence of the length-`len`
-/// string whose first occurrence ends at `first`.
+/// All nodes ending an occurrence of the length-`len` string whose first
+/// occurrence ends at `first`, ascending.
 pub fn occurrences_from<S: SpineOps + ?Sized>(s: &S, first: NodeId, len: u32) -> Vec<NodeId> {
     try_occurrences_from(&Infallible(s), first, len).expect("in-memory SPINE ops are infallible")
 }
@@ -62,12 +79,80 @@ pub fn try_occurrences_from<S: FallibleSpineOps + ?Sized>(
     try_occurrences_from_traced(s, &mut NoTrace, first, len)
 }
 
-/// [`try_occurrences_from`] with a [`TraceSink`] attached: emits one
-/// [`TraceEvent::ScanStart`] for the backbone range, one
-/// [`TraceEvent::Occurrence`] per link-accepted end, and (for page-resident
-/// structures) a single [`TraceEvent::PageFetches`] aggregating the scan's
-/// buffer-pool traffic.
+/// [`try_occurrences_from`] with a [`TraceSink`] attached. The link walk
+/// emits one [`TraceEvent::WalkStart`]; the backbone scan one
+/// [`TraceEvent::ScanStart`] and (for page-resident structures) a single
+/// [`TraceEvent::PageFetches`] aggregating its buffer-pool traffic. Either
+/// way one [`TraceEvent::Occurrence`] per further end follows, ascending.
 pub fn try_occurrences_from_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
+    s: &S,
+    sink: &mut T,
+    first: NodeId,
+    len: u32,
+) -> Result<Vec<NodeId>> {
+    match s.link_children() {
+        Some(lists) => Ok(link_walk(lists, s.ops_counters(), sink, first, len)),
+        None => try_backbone_scan_traced(s, sink, first, len),
+    }
+}
+
+/// The link walk (see the module docs). Counts the children it visits into
+/// `counters` with one add.
+fn link_walk<T: TraceSink + ?Sized>(
+    lists: LinkChildren<'_>,
+    counters: &Counters,
+    sink: &mut T,
+    first: NodeId,
+    len: u32,
+) -> Vec<NodeId> {
+    if T::ENABLED {
+        sink.event(TraceEvent::WalkStart { first, len });
+    }
+    let nodes = lists.nodes;
+    let mut ends = vec![first];
+    let mut visits = 0u64;
+    for c in lists.children(first) {
+        visits += 1;
+        if nodes[c as usize].lel >= len {
+            ends.push(c);
+        }
+    }
+    // `ends` doubles as the work list: every node pushed below here is an
+    // occurrence end, no test needed.
+    let entered = ends.len();
+    let mut i = 1;
+    while i < ends.len() {
+        ends.extend(lists.children(ends[i]));
+        i += 1;
+    }
+    visits += (ends.len() - entered) as u64;
+    counters.count_children_visited(visits);
+    // Children have larger ids than their parent, so `first` stays first.
+    ends[1..].sort_unstable();
+    if T::ENABLED {
+        for &j in &ends[1..] {
+            let n = &nodes[j as usize];
+            sink.event(TraceEvent::Occurrence { node: j, link: n.link, lel: n.lel });
+        }
+    }
+    ends
+}
+
+/// The paper's §4 algorithm end to end, whatever the structure keeps:
+/// locate `pattern`, then one backbone scan from its first occurrence to the
+/// tail. The reference the link walk must equal, and the path the paper's
+/// table reproductions time.
+pub fn backbone_scan_ends<S: SpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Vec<NodeId> {
+    let Some(first) = crate::search::locate(s, pattern) else {
+        return Vec::new();
+    };
+    try_backbone_scan_traced(&Infallible(s), &mut NoTrace, first, pattern.len() as u32)
+        .expect("in-memory SPINE ops are infallible")
+}
+
+/// The backbone scan for one target: [`try_occurrences_from_traced`]'s path
+/// for structures without children lists.
+fn try_backbone_scan_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
     s: &S,
     sink: &mut T,
     first: NodeId,
@@ -122,12 +207,11 @@ pub struct Target {
     pub len: u32,
 }
 
-/// Resolve many targets in a single backbone scan.
+/// Resolve many targets at once.
 ///
 /// Returns, for each target (keyed by value, deduplicated), the ascending
-/// list of occurrence-end nodes. The scan is O(n + total occurrences): each
-/// node consults a hash map from "node already in some target buffer" to the
-/// targets that buffered it.
+/// list of occurrence-end nodes: one link walk per target where the
+/// structure keeps children lists, one shared backbone scan otherwise.
 pub fn find_all_ends_batch<S: SpineOps + ?Sized>(
     s: &S,
     targets: &[Target],
@@ -138,6 +222,35 @@ pub fn find_all_ends_batch<S: SpineOps + ?Sized>(
 /// Fallible [`find_all_ends_batch`]: the scan stops at the first storage
 /// failure and surfaces it as `Err` (no partial result escapes).
 pub fn try_find_all_ends_batch<S: FallibleSpineOps + ?Sized>(
+    s: &S,
+    targets: &[Target],
+) -> Result<FxHashMap<Target, Vec<NodeId>>> {
+    let Some(lists) = s.link_children() else {
+        return try_backbone_scan_batch(s, targets);
+    };
+    let mut result: FxHashMap<Target, Vec<NodeId>> = FxHashMap::default();
+    for &t in targets {
+        result.entry(t).or_insert_with(|| {
+            link_walk(lists, s.ops_counters(), &mut NoTrace, t.first_end, t.len)
+        });
+    }
+    Ok(result)
+}
+
+/// The paper's batched backbone scan: every target resolved in one pass,
+/// whatever the structure keeps. The reference [`find_all_ends_batch`] must
+/// equal, and the deferral the paper's maximal-match reproductions time.
+///
+/// The scan is O(n + total occurrences): each node consults a hash map from
+/// "node already in some target buffer" to the targets that buffered it.
+pub fn backbone_scan_batch<S: SpineOps + ?Sized>(
+    s: &S,
+    targets: &[Target],
+) -> FxHashMap<Target, Vec<NodeId>> {
+    try_backbone_scan_batch(&Infallible(s), targets).expect("in-memory SPINE ops are infallible")
+}
+
+fn try_backbone_scan_batch<S: FallibleSpineOps + ?Sized>(
     s: &S,
     targets: &[Target],
 ) -> Result<FxHashMap<Target, Vec<NodeId>>> {
@@ -161,9 +274,6 @@ pub fn try_find_all_ends_batch<S: FallibleSpineOps + ?Sized>(
     let _scan = ScanGuard::enter(s, start);
     for j in start..=n {
         let (dest, lel) = s.try_link_of(j)?;
-        if lel == 0 {
-            continue;
-        }
         let Some(hits) = buffered.get(&dest) else {
             continue;
         };
@@ -253,5 +363,47 @@ mod tests {
     fn empty_batch() {
         let (_, s) = paper_spine();
         assert!(find_all_ends_batch(&s, &[]).is_empty());
+        assert!(backbone_scan_batch(&s, &[]).is_empty());
+    }
+
+    #[test]
+    fn empty_pattern_walks_every_node() {
+        // Node 1's link to the root is implicit in construction; it must
+        // still hang in the root's list for the walk to reach it.
+        let (_, s) = paper_spine();
+        assert_eq!(find_all_ends(&s, &[]), (0..=10).collect::<Vec<_>>());
+        assert_eq!(backbone_scan_ends(&s, &[]), (0..=10).collect::<Vec<_>>());
+        let one = Spine::build_from_bytes(Alphabet::dna(), b"G").unwrap();
+        assert_eq!(find_all_ends(&one, &[]), vec![0, 1]);
+        // The batched scan accepts LEL-0 links for the empty pattern too.
+        let t = Target { first_end: 0, len: 0 };
+        assert_eq!(backbone_scan_batch(&s, &[t])[&t], (0..=10).collect::<Vec<_>>());
+        assert_eq!(find_all_ends_batch(&s, &[t])[&t], (0..=10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn walk_visits_at_most_occurrences_plus_first_degree() {
+        // visits = deg(fo(w)) + one per occurrence below the entered
+        // children ≤ occ − 1 + deg(fo(w)), counted in one add per walk.
+        let a = Alphabet::dna();
+        let s = Spine::build_from_bytes(a, &b"AACCACAACAGGTTACGACGACCA".repeat(6)).unwrap();
+        let text = s.recover_text();
+        let lists = SpineOps::link_children(&s).expect("the reference layout keeps lists");
+        for i in 0..text.len() {
+            for len in 1..=5.min(text.len() - i) {
+                let p = &text[i..i + len];
+                let before = s.counters().snapshot();
+                let ends = find_all_ends(&s, p);
+                let visits = s.counters().snapshot().since(&before).children_visited;
+                let occ = ends.len() as u64;
+                let deg = lists.children(ends[0]).count() as u64;
+                assert!(visits >= deg, "pattern {p:?}: {visits} visits, degree {deg}");
+                assert!(visits <= occ - 1 + deg, "pattern {p:?}: {visits} > {occ} - 1 + {deg}");
+            }
+        }
+        // The backbone scan does no walk work.
+        let before = s.counters().children_visited();
+        backbone_scan_ends(&s, &text[..3]);
+        assert_eq!(s.counters().children_visited(), before);
     }
 }

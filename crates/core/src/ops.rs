@@ -16,9 +16,42 @@
 //! [`crate::occurrences::try_find_all_ends`]) are written once against the
 //! fallible surface, and the infallible entry points delegate through the
 //! [`Infallible`] adapter.
+//!
+//! One hook is optional: [`SpineOps::link_children`] hands out the
+//! reverse-link children lists when a representation keeps them. With
+//! lists, occurrence enumeration walks the link subtree under the first
+//! occurrence; without them (the default) it runs the paper's backbone
+//! scan. Only the in-memory reference layout keeps lists today.
 
-use crate::node::NodeId;
+use crate::node::{Node, NodeId, ROOT};
 use strindex::{Code, Counters, PackedText, Result};
+
+/// Read view of the reverse-link children lists of an in-memory SPINE.
+///
+/// The children of node `k` are the nodes whose link points at `k`. Every
+/// non-root node is the child of exactly one node, so the lists form a tree
+/// rooted at [`ROOT`] — the *reverse-link tree*. Each list is threaded
+/// through [`Node::first_child`] and a sibling array, newest child first.
+#[derive(Debug, Clone, Copy)]
+pub struct LinkChildren<'a> {
+    pub(crate) nodes: &'a [Node],
+    next_sibling: &'a [NodeId],
+}
+
+impl<'a> LinkChildren<'a> {
+    pub(crate) fn new(nodes: &'a [Node], next_sibling: &'a [NodeId]) -> Self {
+        debug_assert_eq!(nodes.len(), next_sibling.len());
+        LinkChildren { nodes, next_sibling }
+    }
+
+    /// The nodes whose link points at `node`, newest first.
+    pub fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + 'a {
+        let next_sibling = self.next_sibling;
+        let first = self.nodes[node as usize].first_child;
+        std::iter::successors(Some(first), move |&c| Some(next_sibling[c as usize]))
+            .take_while(|&c| c != ROOT)
+    }
+}
 
 /// Read access to a SPINE structure. Node ids are `0..=text_len()`, with 0
 /// the root.
@@ -43,6 +76,13 @@ pub trait SpineOps {
 
     /// Work counters (see [`strindex::Counters`]).
     fn ops_counters(&self) -> &Counters;
+
+    /// The reverse-link children lists, when this representation keeps
+    /// them. `None` (the default) sends occurrence enumeration down the
+    /// paper's backbone scan.
+    fn link_children(&self) -> Option<LinkChildren<'_>> {
+        None
+    }
 
     /// Bits per symbol of this representation's word-packed backbone
     /// labels, or `None` when only character-at-a-time comparison is
@@ -106,6 +146,12 @@ pub trait FallibleSpineOps {
     /// ([`crate::trace::TraceEvent::PageFetches`]) — and only when a
     /// recording sink is attached, so the untraced paths never pay for it.
     fn storage_counters(&self) -> Option<(u64, u64)> {
+        None
+    }
+
+    /// [`SpineOps::link_children`] counterpart: in-memory lists never fail,
+    /// so the hook is the same. `None` by default.
+    fn link_children(&self) -> Option<LinkChildren<'_>> {
         None
     }
 
@@ -178,6 +224,11 @@ impl<S: SpineOps + ?Sized> FallibleSpineOps for Infallible<'_, S> {
     }
 
     #[inline]
+    fn link_children(&self) -> Option<LinkChildren<'_>> {
+        self.0.link_children()
+    }
+
+    #[inline]
     fn backbone_packing(&self) -> Option<u32> {
         self.0.backbone_packing()
     }
@@ -221,6 +272,11 @@ macro_rules! fallible_from_spine_ops {
             #[inline]
             fn ops_counters(&self) -> &Counters {
                 SpineOps::ops_counters(self)
+            }
+
+            #[inline]
+            fn link_children(&self) -> Option<LinkChildren<'_>> {
+                SpineOps::link_children(self)
             }
 
             #[inline]

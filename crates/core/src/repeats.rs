@@ -7,8 +7,8 @@
 //!   LEL(i) is the length of the longest suffix of prefix `i` that occurred
 //!   earlier, so the global maximum is exactly the longest string with two
 //!   occurrences;
-//! * the **occurrence count** of a pattern falls out of the usual backbone
-//!   scan;
+//! * the **occurrence count** of a pattern falls out of the usual
+//!   enumeration (a walk of the pattern's reverse-link subtree);
 //! * per-position **repeat lengths** (the longest earlier-occurring suffix
 //!   ending at each position) are the LEL column itself — the string-level
 //!   analogue of a self-matching statistics vector.

@@ -170,8 +170,8 @@ impl Spine {
         self.nodes.iter().filter(|n| n.extribs.len() > 1).count() as u64
     }
 
-    /// Total heap bytes of the reference representation (node vector plus
-    /// per-node rib/extrib vectors).
+    /// Total heap bytes of the reference representation (node vector,
+    /// per-node rib/extrib vectors, and the reverse-link sibling array).
     pub fn heap_bytes(&self) -> usize {
         let nodes = self.nodes.capacity() * std::mem::size_of::<crate::node::Node>();
         let ribs: usize = self
@@ -184,7 +184,8 @@ impl Spine {
             .iter()
             .map(|n| n.extribs.capacity() * std::mem::size_of::<crate::node::Extrib>())
             .sum();
-        nodes + ribs + extribs
+        let siblings = self.next_sibling.capacity() * std::mem::size_of::<crate::node::NodeId>();
+        nodes + ribs + extribs + siblings
     }
 }
 

@@ -4,7 +4,8 @@
 //! The paper's whole design lives in three traversal decisions — does the
 //! vertebra match, does the rib's pathlength threshold admit the path, which
 //! extrib element (if any) rescues a rejected rib — plus the link-driven
-//! backbone scan that turns one located occurrence into all of them. This
+//! enumeration (a walk of the reverse-link tree, or the paper's backbone
+//! scan) that turns one located occurrence into all of them. This
 //! module makes those decisions observable per query, Postgres
 //! `EXPLAIN ANALYZE`-style:
 //!
@@ -124,8 +125,19 @@ pub enum TraceEvent {
         /// Pattern length the scan matches against LELs.
         len: u32,
     },
-    /// The scan accepted `node` as an occurrence end: its link reaches an
-    /// already-buffered end (`link`) with `lel ≥` the pattern length.
+    /// The link walk began: the occurrence ends of a pattern of length
+    /// `len` are `first` and the reverse-link subtree below it, entered
+    /// through the children with LEL ≥ `len`. Engines that keep children
+    /// lists emit this where the others emit [`TraceEvent::ScanStart`].
+    WalkStart {
+        /// End of the first occurrence (the located node).
+        first: NodeId,
+        /// Pattern length the walk tests the first children's LELs against.
+        len: u32,
+    },
+    /// The enumeration accepted `node` as an occurrence end: its link
+    /// reaches another end (`link`) with `lel ≥` the pattern length. Both
+    /// enumerations emit these in ascending `node` order.
     Occurrence {
         /// The accepted occurrence end.
         node: NodeId,
@@ -257,12 +269,32 @@ impl QueryTrace {
     }
 
     /// The events excluding [`TraceEvent::PageFetches`] — the logical
-    /// traversal, identical across physical representations of one index.
+    /// traversal, identical across physical representations of one index
+    /// that enumerate the same way (link walk or backbone scan).
     pub fn structural_events(&self) -> Vec<TraceEvent> {
         self.events
             .iter()
             .filter(|e| !matches!(e, TraceEvent::PageFetches { .. }))
             .copied()
+            .collect()
+    }
+
+    /// [`structural_events`](Self::structural_events) with a
+    /// [`TraceEvent::WalkStart`] rewritten as the [`TraceEvent::ScanStart`]
+    /// the backbone scan emits for the same first occurrence. Both
+    /// enumerations emit the same occurrence events, so this sequence is
+    /// identical across every representation of one index, whichever way
+    /// each enumerates.
+    pub fn logical_events(&self) -> Vec<TraceEvent> {
+        let to = self.text_len as NodeId;
+        self.structural_events()
+            .into_iter()
+            .map(|e| match e {
+                TraceEvent::WalkStart { first, len } => {
+                    TraceEvent::ScanStart { from: first + 1, to, len }
+                }
+                e => e,
+            })
             .collect()
     }
 
@@ -345,6 +377,13 @@ impl QueryTrace {
                         out,
                         "  scan     backbone {from}..={to}: accept node j when \
                          LEL(j) >= {len} and link(j) hits the target buffer"
+                    );
+                }
+                TraceEvent::WalkStart { first, len } => {
+                    let _ = writeln!(
+                        out,
+                        "  walk     link subtree of node {first}: enter children with \
+                         LEL >= {len}, take all their descendants"
                     );
                 }
                 TraceEvent::Occurrence { node, link, lel } => {
@@ -465,6 +504,10 @@ impl QueryTrace {
                         "{{\"type\":\"scan_start\",\"from\":{from},\"to\":{to},\"len\":{len}}}"
                     );
                 }
+                TraceEvent::WalkStart { first, len } => {
+                    let _ =
+                        write!(out, "{{\"type\":\"walk_start\",\"first\":{first},\"len\":{len}}}");
+                }
                 TraceEvent::Occurrence { node, link, lel } => {
                     let _ = write!(
                         out,
@@ -490,8 +533,9 @@ impl QueryTrace {
     ///   first-occurrence end of `pattern[..k]` (the SPINE invariant);
     /// * mismatch terminations must coincide with `pattern[..k+1]` not
     ///   occurring in the text;
-    /// * the occurrence scan must accept exactly the end positions a naive
-    ///   scan of the text finds.
+    /// * the enumeration (link walk or backbone scan) must start at the
+    ///   located node and accept exactly the end positions a naive scan of
+    ///   the text finds, in ascending order, as its occurrence events.
     ///
     /// This is the trace/oracle differential: it holds for any correct
     /// index, so EXPLAIN output is itself machine-checkable.
@@ -509,7 +553,7 @@ impl QueryTrace {
         };
         let mut node = ROOT;
         let mut k = 0usize; // characters consumed
-        let mut scan_seen: Option<Vec<NodeId>> = None;
+        let mut enumerated: Option<Vec<NodeId>> = None;
         let advance = |node: &mut NodeId, k: &mut usize, dest: NodeId| -> Result<(), String> {
             let prefix = &self.pattern[..*k + 1];
             match first_end_of(prefix) {
@@ -579,18 +623,32 @@ impl QueryTrace {
                     if len as usize != self.pattern.len() || from != node + 1 {
                         return Err(format!("scan bounds disagree with the locate phase: {e:?}"));
                     }
-                    scan_seen = Some(vec![node]);
+                    enumerated = Some(vec![node]);
+                }
+                TraceEvent::WalkStart { first, len } => {
+                    if k != self.pattern.len() {
+                        return Err(format!(
+                            "walk started after {k} of {} chars",
+                            self.pattern.len()
+                        ));
+                    }
+                    if len as usize != self.pattern.len() || first != node {
+                        return Err(format!("walk root disagrees with the locate phase: {e:?}"));
+                    }
+                    enumerated = Some(vec![node]);
                 }
                 TraceEvent::Occurrence { node: j, .. } => {
-                    let seen = scan_seen
-                        .as_mut()
-                        .ok_or_else(|| "occurrence event before scan start".to_string())?;
+                    let seen = enumerated.as_mut().ok_or_else(|| {
+                        "occurrence event before the enumeration started".to_string()
+                    })?;
                     let (start, end) = ((j as usize).checked_sub(k), j as usize);
                     let matches = start
                         .and_then(|s| text.get(s..end))
                         .is_some_and(|w| w == &self.pattern[..]);
                     if !matches {
-                        return Err(format!("scan accepted node {j}, not an occurrence end"));
+                        return Err(format!(
+                            "enumeration accepted node {j}, not an occurrence end"
+                        ));
                     }
                     seen.push(j);
                 }
@@ -632,6 +690,13 @@ impl QueryTrace {
                 "occurrence ends {:?} disagree with oracle {:?}",
                 preview(&self.ends),
                 preview(&oracle_ends)
+            ));
+        }
+        if self.dropped == 0 && enumerated.as_ref() != Some(&self.ends) {
+            return Err(format!(
+                "occurrence events {:?} disagree with the reported ends {:?}",
+                enumerated.as_deref().map(preview),
+                preview(&self.ends)
             ));
         }
         Ok(())
@@ -708,8 +773,10 @@ impl Spine {
 }
 
 impl CompactSpine {
-    /// EXPLAIN `pattern` over the §5 compact layout; structurally identical
-    /// to the reference trace ([`QueryTrace::structural_events`]).
+    /// EXPLAIN `pattern` over the §5 compact layout. The layout keeps no
+    /// children lists, so it enumerates by backbone scan; its trace is
+    /// logically identical to the reference one
+    /// ([`QueryTrace::logical_events`]).
     pub fn explain(&self, pattern: &[Code]) -> QueryTrace {
         explain(self, pattern)
     }
@@ -809,6 +876,7 @@ impl Heatmap {
                 TraceEvent::NoEdge { .. }
                 | TraceEvent::ChainExhausted { .. }
                 | TraceEvent::ScanStart { .. }
+                | TraceEvent::WalkStart { .. }
                 | TraceEvent::PageFetches { .. } => {}
             }
         }
@@ -918,7 +986,11 @@ mod tests {
             structural[3],
             TraceEvent::Extrib { at: 5, prt: 1, dest: 7, pt: 2, pl: 2, taken: true }
         );
-        assert_eq!(structural[4], TraceEvent::ScanStart { from: 8, to: 10, len: 3 });
+        // The reference layout keeps children lists, so it walks; in the
+        // scan's terms that is the scan of 8..=10.
+        assert_eq!(structural[4], TraceEvent::WalkStart { first: 7, len: 3 });
+        assert_eq!(t.logical_events()[4], TraceEvent::ScanStart { from: 8, to: 10, len: 3 });
+        assert_eq!(structural[5], TraceEvent::Occurrence { node: 10, link: 7, lel: 3 });
         t.verify_against_text(&a.encode(b"AACCACAACA").unwrap()).unwrap();
     }
 
@@ -976,6 +1048,8 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"type\":\"extrib\""));
         assert!(json.contains("\"first_end\":7"));
+        assert!(json.contains("\"type\":\"walk_start\",\"first\":7,\"len\":3"));
+        assert!(text.contains("walk     link subtree of node 7"));
     }
 
     #[test]
@@ -1062,5 +1136,17 @@ mod tests {
         let mut t2 = s.explain(&a.encode(b"ACA").unwrap());
         t2.ends.push(4); // inject a bogus occurrence
         assert!(t2.verify_against_text(&text).is_err());
+        // A walk rooted anywhere but the located node is caught.
+        let mut t3 = s.explain(&a.encode(b"ACA").unwrap());
+        for e in &mut t3.events {
+            if let TraceEvent::WalkStart { first, .. } = e {
+                *first = 3;
+            }
+        }
+        assert!(t3.verify_against_text(&text).is_err());
+        // So is a reported end with no occurrence event behind it.
+        let mut t4 = s.explain(&a.encode(b"CA").unwrap());
+        t4.events.retain(|e| !matches!(e, TraceEvent::Occurrence { node: 7, .. }));
+        assert!(t4.verify_against_text(&text).is_err());
     }
 }

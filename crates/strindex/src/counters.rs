@@ -19,6 +19,7 @@ pub struct Counters {
     edges_traversed: AtomicU64,
     links_followed: AtomicU64,
     extribs_scanned: AtomicU64,
+    children_visited: AtomicU64,
 }
 
 impl Counters {
@@ -67,6 +68,14 @@ impl Counters {
         self.extribs_scanned.fetch_add(1, Relaxed);
     }
 
+    /// Record `n` reverse-link children visited by one occurrence walk.
+    /// The walk counts locally and adds once per enumeration, so the hot
+    /// loop touches no shared atomic.
+    #[inline]
+    pub fn count_children_visited(&self, n: u64) {
+        self.children_visited.fetch_add(n, Relaxed);
+    }
+
     /// Number of nodes examined so far.
     pub fn nodes_checked(&self) -> u64 {
         self.nodes_checked.load(Relaxed)
@@ -87,15 +96,21 @@ impl Counters {
         self.extribs_scanned.load(Relaxed)
     }
 
+    /// Number of reverse-link children the occurrence walks visited so far.
+    pub fn children_visited(&self) -> u64 {
+        self.children_visited.load(Relaxed)
+    }
+
     /// Reset every counter to zero.
     pub fn reset(&self) {
         self.nodes_checked.store(0, Relaxed);
         self.edges_traversed.store(0, Relaxed);
         self.links_followed.store(0, Relaxed);
         self.extribs_scanned.store(0, Relaxed);
+        self.children_visited.store(0, Relaxed);
     }
 
-    /// A point-in-time copy of all four counters.
+    /// A point-in-time copy of all five counters.
     ///
     /// Snapshots are plain values: they can be diffed to attribute work to a
     /// window (`after - before`) and summed to aggregate work across several
@@ -106,6 +121,7 @@ impl Counters {
             edges_traversed: self.edges_traversed(),
             links_followed: self.links_followed(),
             extribs_scanned: self.extribs_scanned(),
+            children_visited: self.children_visited(),
         }
     }
 }
@@ -121,6 +137,9 @@ pub struct CountersSnapshot {
     pub links_followed: u64,
     /// Extrib-chain elements examined.
     pub extribs_scanned: u64,
+    /// Reverse-link children visited while enumerating occurrences (the
+    /// enumeration work; the backbone scan counts none).
+    pub children_visited: u64,
 }
 
 impl CountersSnapshot {
@@ -132,12 +151,17 @@ impl CountersSnapshot {
             edges_traversed: self.edges_traversed.saturating_sub(earlier.edges_traversed),
             links_followed: self.links_followed.saturating_sub(earlier.links_followed),
             extribs_scanned: self.extribs_scanned.saturating_sub(earlier.extribs_scanned),
+            children_visited: self.children_visited.saturating_sub(earlier.children_visited),
         }
     }
 
-    /// Total of all four counters — a scalar "work units" figure.
+    /// Total of all five counters — a scalar "work units" figure.
     pub fn total(&self) -> u64 {
-        self.nodes_checked + self.edges_traversed + self.links_followed + self.extribs_scanned
+        self.nodes_checked
+            + self.edges_traversed
+            + self.links_followed
+            + self.extribs_scanned
+            + self.children_visited
     }
 }
 
@@ -150,6 +174,7 @@ impl std::ops::Add for CountersSnapshot {
             edges_traversed: self.edges_traversed + rhs.edges_traversed,
             links_followed: self.links_followed + rhs.links_followed,
             extribs_scanned: self.extribs_scanned + rhs.extribs_scanned,
+            children_visited: self.children_visited + rhs.children_visited,
         }
     }
 }
@@ -172,6 +197,8 @@ mod tests {
         c.count_edge();
         c.count_link();
         c.count_extrib();
+        c.count_children_visited(3);
+        assert_eq!(c.children_visited(), 3);
         assert_eq!(c.nodes_checked(), 2);
         assert_eq!(c.edges_traversed(), 1);
         assert_eq!(c.links_followed(), 1);
@@ -179,6 +206,7 @@ mod tests {
         c.reset();
         assert_eq!(c.nodes_checked(), 0);
         assert_eq!(c.edges_traversed(), 0);
+        assert_eq!(c.children_visited(), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Concurrent query serving: one immutable SPINE index, a pool of worker
-//! threads, and an admission queue that coalesces patterns into shared
-//! backbone scans — the deployment shape behind the paper's "integration
+//! threads, and an admission queue that coalesces patterns into batches
+//! (each resolved by reverse-link walks) — the deployment shape behind the
+//! paper's "integration
 //! with database engines" pitch (§6).
 //!
 //! ```sh
@@ -54,7 +55,7 @@ fn main() {
 
     let m = engine.metrics();
     println!(
-        "coalescing: {} backbone scans for {} queries (mean batch {:.1}, peak queue {})",
+        "coalescing: {} batches for {} queries (mean batch {:.1}, peak queue {})",
         m.batches(),
         m.completed,
         m.mean_batch(),

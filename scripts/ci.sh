@@ -27,6 +27,13 @@ echo "== tier-1: build + tests"
 cargo build --release
 cargo test -q --workspace
 
+echo "== occurrence enumeration: reverse-link walk vs the paper's backbone scan (proptest)"
+cargo test -q --test differential link_walk_equals_backbone_scan
+cargo test -q -p spine --lib occurrences
+
+echo "== perfbench self-tests (runner in step with BENCHMARK.json, histogram, CO probe, checks)"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== exp verify (invariants + cross-engine agreement, eco-sim & friends)"
 cargo run --release -q -p spine-bench --bin exp -- verify
 

@@ -515,3 +515,111 @@ proptest! {
         }
     }
 }
+
+/// A text of one of four shapes: random, unary (`AAAA…`), short-period
+/// repeats, or random blocks glued from a tiny vocabulary (long, nested
+/// repeats — deep link subtrees).
+fn shaped_text(a: &Alphabet, shape: usize, len: usize, seed: u64) -> Vec<Code> {
+    let mut r = rng(seed);
+    match shape {
+        0 => random_text(a, len, seed),
+        1 => vec![r.gen_range(0..a.size()) as Code; len],
+        2 => {
+            let period = random_text(a, r.gen_range(1..=5usize), seed ^ 0xBEEF);
+            period.iter().cycle().take(len).copied().collect()
+        }
+        _ => {
+            let vocab: Vec<Vec<Code>> =
+                (0..3).map(|i| random_text(a, 1 + i * 3, seed ^ i as u64)).collect();
+            let mut t = Vec::new();
+            while t.len() < len {
+                t.extend_from_slice(&vocab[r.gen_range(0..vocab.len())]);
+            }
+            t.truncate(len);
+            t
+        }
+    }
+}
+
+/// Every substring of length ≤ 6, a few random strings, the empty pattern
+/// and the whole text.
+fn walk_patterns(a: &Alphabet, text: &[Code], seed: u64) -> Vec<Vec<Code>> {
+    let mut pats: Vec<Vec<Code>> = vec![Vec::new(), text.to_vec()];
+    for i in 0..text.len() {
+        for len in 1..=6.min(text.len() - i) {
+            pats.push(text[i..i + len].to_vec());
+        }
+    }
+    let mut r = rng(seed ^ 0x5CA7);
+    for _ in 0..8 {
+        let len = r.gen_range(1..=4usize);
+        pats.push((0..len).map(|_| r.gen_range(0..a.size()) as Code).collect());
+    }
+    pats.sort();
+    pats.dedup();
+    pats
+}
+
+/// The link walk must return exactly what the paper's backbone scan
+/// returns, one pattern at a time and batched.
+fn assert_walk_equals_scan<S: spine::SpineOps>(tag: &str, s: &S, pats: &[Vec<Code>]) {
+    use spine::occurrences::{
+        backbone_scan_batch, backbone_scan_ends, find_all_ends, find_all_ends_batch, Target,
+    };
+    assert!(s.link_children().is_some(), "{tag}: must keep children lists");
+    let mut targets = Vec::new();
+    for p in pats {
+        let scanned = backbone_scan_ends(s, p);
+        assert_eq!(find_all_ends(s, p), scanned, "{tag}: pattern {p:?}");
+        if let Some(&first) = scanned.first() {
+            targets.push(Target { first_end: first, len: p.len() as u32 });
+        }
+    }
+    assert_eq!(find_all_ends_batch(s, &targets), backbone_scan_batch(s, &targets), "{tag}: batch");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The output-sensitive link walk equals the paper's backbone scan over
+    /// DNA, protein and bytes; on random, unary and repeat-rich texts; on
+    /// the empty and length-1 prefixes of each; on indexes built half by
+    /// `Spine::build` and half by `push`; and on a `GeneralizedSpine`
+    /// whose documents are cut from the same text (separator nodes in the
+    /// link tree).
+    #[test]
+    fn link_walk_equals_backbone_scan(
+        alpha in 0usize..3,
+        shape in 0usize..4,
+        len in 0usize..120,
+        cut in 0usize..120,
+        seed in 0u64..1 << 48,
+    ) {
+        let a = [Alphabet::dna(), Alphabet::protein(), Alphabet::bytes()][alpha].clone();
+        let text = shaped_text(&a, shape, len, seed);
+        for t in [&text[..0], &text[..text.len().min(1)], &text[..]] {
+            let pats = walk_patterns(&a, t, seed);
+            let built = Spine::build(a.clone(), t).unwrap();
+            assert_walk_equals_scan("build", &built, &pats);
+
+            let half = cut.min(t.len());
+            let mut grown = Spine::build(a.clone(), &t[..half]).unwrap();
+            for &c in &t[half..] {
+                strindex::OnlineIndex::push(&mut grown, c).unwrap();
+            }
+            prop_assert!(grown.nodes() == built.nodes(), "build+push must equal build");
+            assert_walk_equals_scan("build+push", &grown, &pats);
+
+            let mut g = GeneralizedSpine::new(a.clone());
+            let mut r = rng(seed ^ 0xD0C5);
+            let mut at = 0;
+            while at < t.len() {
+                let end = (at + r.gen_range(0..=8usize)).min(t.len());
+                g.add_document(&t[at..end]).unwrap();
+                at = end;
+            }
+            g.add_document(&[]).unwrap();
+            assert_walk_equals_scan("generalized", &g, &pats);
+        }
+    }
+}

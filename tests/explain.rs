@@ -7,8 +7,10 @@
 //! [`QueryTrace::verify_against_text`] (which re-derives every PT admission,
 //! every first-occurrence prefix end, and the final occurrence set from
 //! first principles) over random DNA / protein / raw-byte texts, and checks
-//! that the structural trace is identical across the in-memory, compact,
-//! and page-resident engines.
+//! that the logical trace is identical across the in-memory, compact,
+//! and page-resident engines: event for event, with the reference layout's
+//! link-walk start read as the backbone scan it replaces
+//! ([`QueryTrace::logical_events`]).
 
 use genseq::rng;
 use pagestore::{Lru, MemDevice};
@@ -86,31 +88,44 @@ fn exercise(a: &Alphabet, text: &[Code], seed: u64) {
     for pattern in patterns_for(a, text, seed) {
         let t = spine.explain(&pattern);
         check_trace("spine", &t, text, &pattern);
+        // The reference layout keeps children lists: every hit walks them.
+        let starts = |t: &QueryTrace| {
+            t.structural_events()
+                .into_iter()
+                .filter(|e| {
+                    matches!(e, TraceEvent::ScanStart { .. } | TraceEvent::WalkStart { .. })
+                })
+                .collect::<Vec<_>>()
+        };
+        let walked = match t.first_end {
+            Some(first) => vec![TraceEvent::WalkStart { first, len: pattern.len() as u32 }],
+            None => vec![],
+        };
+        assert_eq!(starts(&t), walked, "spine must enumerate {pattern:?} by link walk");
         if let Some(c) = &compact {
             let tc = c.explain(&pattern);
             check_trace("compact", &tc, text, &pattern);
             assert_eq!(
-                tc.structural_events(),
-                t.structural_events(),
+                tc.logical_events(),
+                t.logical_events(),
                 "compact trace diverges for {pattern:?}"
             );
+            assert_eq!(tc.logical_events(), tc.structural_events(), "compact must scan");
         }
         let td = disk.explain(&pattern);
         check_trace("disk", &td, text, &pattern);
-        assert_eq!(
-            td.structural_events(),
-            t.structural_events(),
-            "disk trace diverges for {pattern:?}"
-        );
+        assert_eq!(td.logical_events(), t.logical_events(), "disk trace diverges for {pattern:?}");
+        assert_eq!(td.logical_events(), td.structural_events(), "disk must scan");
         let (h, m) = td.page_fetches();
         assert!(h + m > 0, "disk trace for {pattern:?} reports no page fetches");
         let ts = sealed.explain(&pattern);
         check_trace("disk-v2", &ts, text, &pattern);
         assert_eq!(
-            ts.structural_events(),
-            t.structural_events(),
+            ts.logical_events(),
+            t.logical_events(),
             "sealed v2 trace diverges for {pattern:?}"
         );
+        assert_eq!(ts.logical_events(), ts.structural_events(), "sealed v2 must scan");
         let (h, m) = ts.page_fetches();
         assert!(h + m > 0, "sealed v2 trace for {pattern:?} reports no page fetches");
     }
@@ -147,7 +162,7 @@ proptest! {
 
 /// The two edge patterns the proptest always includes, pinned explicitly:
 /// the empty pattern ends at every node; a pattern longer than the text
-/// terminates with a mismatch event and no occurrence scan.
+/// terminates with a mismatch event and no occurrence enumeration.
 #[test]
 fn empty_and_overlong_pattern_edges() {
     let a = Alphabet::dna();
@@ -158,6 +173,8 @@ fn empty_and_overlong_pattern_edges() {
     empty.verify_against_text(&text).unwrap();
     assert_eq!(empty.first_end, Some(0));
     assert_eq!(empty.ends, (0..=10).collect::<Vec<_>>());
+    // The walk from the root reaches node 1, whose root link is implicit.
+    assert_eq!(empty.structural_events()[0], TraceEvent::WalkStart { first: 0, len: 0 });
 
     let overlong = s.explain(&a.encode(b"AACCACAACAA").unwrap());
     overlong.verify_against_text(&text).unwrap();
@@ -171,8 +188,11 @@ fn empty_and_overlong_pattern_edges() {
         "overlong pattern must terminate with a mismatch event"
     );
     assert!(
-        !overlong.structural_events().iter().any(|e| matches!(e, TraceEvent::ScanStart { .. })),
-        "a miss must not start an occurrence scan"
+        !overlong
+            .structural_events()
+            .iter()
+            .any(|e| matches!(e, TraceEvent::ScanStart { .. } | TraceEvent::WalkStart { .. })),
+        "a miss must not start an occurrence enumeration"
     );
 }
 
@@ -189,8 +209,12 @@ fn figure3_trace_matches_hand_derivation() {
     assert_eq!(ev[1], TraceEvent::Rib { node: 1, ch: 1, dest: 3, pt: 1, pl: 1, admitted: true });
     assert_eq!(ev[2], TraceEvent::Rib { node: 3, ch: 0, dest: 5, pt: 1, pl: 2, admitted: false });
     assert_eq!(ev[3], TraceEvent::Extrib { at: 5, prt: 1, dest: 7, pt: 2, pl: 2, taken: true });
-    assert_eq!(ev[4], TraceEvent::ScanStart { from: 8, to: 10, len: 3 });
+    assert_eq!(ev[4], TraceEvent::WalkStart { first: 7, len: 3 });
     assert_eq!(t.ends, vec![7, 10]);
+    // The §5 layout runs the paper's backbone scan from the same node.
+    let tc = CompactSpine::build(a.clone(), &text).unwrap().explain(&a.encode(b"ACA").unwrap());
+    assert_eq!(tc.structural_events()[4], TraceEvent::ScanStart { from: 8, to: 10, len: 3 });
+    assert_eq!(tc.logical_events(), t.logical_events());
     let text_report = t.to_text(&a);
     assert!(text_report.contains("vertebra 0 -> 1"), "{text_report}");
     assert!(text_report.contains("ADMIT"), "{text_report}");
