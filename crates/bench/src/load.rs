@@ -761,7 +761,7 @@ impl ServeIndex for BoxedServe {
 /// The in-repo engines the head-to-head sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// In-memory SPINE via the [`spine::FallibleSpineOps`] batch path.
+    /// In-memory SPINE via the [`spine::SpineOps`] batch path.
     Spine,
     /// Segmented LSM SPINE, built incrementally from the corpus stream.
     SpineSeg,

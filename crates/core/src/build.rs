@@ -341,24 +341,24 @@ impl crate::ops::SpineOps for Spine {
     }
 
     #[inline]
-    fn vertebra_out(&self, node: NodeId) -> Option<Code> {
-        self.nodes.get(node as usize + 1).map(|n| n.vertebra_cl)
+    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
+        Ok(self.nodes.get(node as usize + 1).map(|n| n.vertebra_cl))
     }
 
     #[inline]
-    fn link_of(&self, node: NodeId) -> (NodeId, u32) {
+    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
         let n = &self.nodes[node as usize];
-        (n.link, n.lel)
+        Ok((n.link, n.lel))
     }
 
     #[inline]
-    fn rib_of(&self, node: NodeId, c: Code) -> Option<(NodeId, u32)> {
-        self.nodes[node as usize].rib(c).map(|r| (r.dest, r.pt))
+    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
+        Ok(self.nodes[node as usize].rib(c).map(|r| (r.dest, r.pt)))
     }
 
     #[inline]
-    fn extrib_of(&self, node: NodeId, prt: u32) -> Option<(NodeId, u32)> {
-        self.nodes[node as usize].extrib(prt).map(|e| (e.dest, e.pt))
+    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
+        Ok(self.nodes[node as usize].extrib(prt).map(|e| (e.dest, e.pt)))
     }
 
     fn ops_counters(&self) -> &Counters {
@@ -374,19 +374,10 @@ impl crate::ops::SpineOps for Spine {
     }
 
     #[inline]
-    fn label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> usize {
+    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
         match &self.packed {
-            Some(p) => p.lcp(node as usize, pattern, from, pattern.len() - from),
-            None => {
-                let mut k = 0;
-                while from + k < pattern.len() {
-                    match self.vertebra_out(node + k as NodeId) {
-                        Some(c) if c == pattern.get(from + k) => k += 1,
-                        _ => break,
-                    }
-                }
-                k
-            }
+            Some(p) => Ok(p.lcp(node as usize, pattern, from, pattern.len() - from)),
+            None => crate::ops::scalar_label_run(self, node, pattern, from),
         }
     }
 }

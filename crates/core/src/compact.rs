@@ -669,59 +669,54 @@ impl SpineOps for CompactSpine {
     }
 
     #[inline]
-    fn vertebra_out(&self, node: NodeId) -> Option<Code> {
-        ((node as usize) < self.len()).then(|| self.chars.get(node as usize))
+    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
+        Ok(((node as usize) < self.len()).then(|| self.chars.get(node as usize)))
     }
 
     #[inline]
-    fn link_of(&self, node: NodeId) -> (NodeId, u32) {
-        (self.link_dest(node), self.lel_value(node))
+    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
+        Ok((self.link_dest(node), self.lel_value(node)))
     }
 
-    fn rib_of(&self, node: NodeId, c: Code) -> Option<(NodeId, u32)> {
+    #[inline]
+    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
         for (i, s) in self.slots_of(node).iter().enumerate() {
             if s.kind == c {
                 let (pt, _) = self.slot_labels(node, i as u8, s);
-                return Some((s.rd, pt));
+                return Ok(Some((s.rd, pt)));
             }
         }
-        None
+        Ok(None)
     }
 
-    fn extrib_of(&self, node: NodeId, prt: u32) -> Option<(NodeId, u32)> {
+    #[inline]
+    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
         for (i, s) in self.slots_of(node).iter().enumerate() {
             if s.kind == SLOT_EXTRIB {
                 let (pt, sprt) = self.slot_labels(node, i as u8, s);
                 if sprt == prt {
-                    return Some((s.rd, pt));
+                    return Ok(Some((s.rd, pt)));
                 }
             }
         }
-        None
+        Ok(None)
     }
 
+    #[inline]
     fn ops_counters(&self) -> &Counters {
         &self.counters
     }
 
+    #[inline]
     fn backbone_packing(&self) -> Option<u32> {
         self.packed.as_ref().map(|p| p.bits())
     }
 
     #[inline]
-    fn label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> usize {
+    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
         match &self.packed {
-            Some(p) => p.lcp(node as usize, pattern, from, pattern.len() - from),
-            None => {
-                let mut k = 0;
-                while from + k < pattern.len() {
-                    match self.vertebra_out(node + k as NodeId) {
-                        Some(c) if c == pattern.get(from + k) => k += 1,
-                        _ => break,
-                    }
-                }
-                k
-            }
+            Some(p) => Ok(p.lcp(node as usize, pattern, from, pattern.len() - from)),
+            None => crate::ops::scalar_label_run(self, node, pattern, from),
         }
     }
 }

@@ -24,7 +24,7 @@
 //!   so a fixed pool covers far more nodes and queries touch fewer pages.
 //!   When every label fits the alphabet's packing width
 //!   ([`strindex::Alphabet::pack_bits`]), backbone label runs are compared
-//!   a whole word at a time ([`FallibleSpineOps::try_label_run`]).
+//!   a whole word at a time ([`SpineOps::try_label_run`]).
 //!
 //! Every sealed page carries a format-version header; readers check it on
 //! each access and surface [`strindex::Error::FormatVersion`] ("rebuild
@@ -39,7 +39,7 @@ use std::sync::{Arc, OnceLock};
 use crate::hot::HotSet;
 use crate::node::{NodeId, ROOT};
 use crate::observe::{BuildEvent, BuildObserver, BuildPhase, BuildStats, MemBreakdown};
-use crate::ops::{FallibleSpineOps, SpineOps};
+use crate::ops::{SpineOps, INFALLIBLE_BOUNDARY};
 use pagestore::{
     slotted, slotted_record, BufferPool, CacheStats, CacheStatsSnapshot, EvictionPolicy, Lru,
     MemDevice, PageDevice, PageHeader, PagedVec, SlottedPageBuilder, PAGE_FORMAT_V2, PAGE_SIZE,
@@ -473,7 +473,7 @@ impl SealedStore {
         Ok(win & low_mask(pw as u32 * self.bits))
     }
 
-    /// Word-at-a-time [`FallibleSpineOps::try_label_run`]: the common run
+    /// Word-at-a-time [`SpineOps::try_label_run`]: the common run
     /// of `pattern[from..]` and the backbone labels leaving `node`.
     fn label_run(
         &mut self,
@@ -1196,8 +1196,8 @@ impl DiskSpine {
     //
     // Every accessor returns `Result`: the records live behind a buffer pool
     // over a fallible device, so any hop can surface an I/O error. The
-    // fallible surface ([`FallibleSpineOps`], `try_find_all`) propagates
-    // these; the legacy infallible traits unwrap at their boundary. Each
+    // `try_` surface ([`SpineOps`], `try_find_all`) propagates these; the
+    // infallible sugar and traits unwrap at their boundary. Each
     // accessor dispatches on the physical layout.
 
     fn read_cl(&self, node: u32) -> Result<Code> {
@@ -1449,33 +1449,6 @@ impl DiskSpine {
         }
     }
 
-    /// Shared body of the (in)fallible `label_run`s. The sealed fast path
-    /// runs under the store lock; the scalar fallback must not (it calls
-    /// `try_vertebra_out`, which takes the lock again).
-    fn try_label_run_inner(
-        &self,
-        node: NodeId,
-        pattern: &PackedText,
-        from: usize,
-    ) -> Result<usize> {
-        {
-            let mut guard = self.store.lock();
-            if let Store::Sealed(s) = &mut *guard {
-                if s.packed_compare && s.bits == pattern.bits() {
-                    return s.label_run(self.len, node, pattern, from);
-                }
-            }
-        }
-        let mut k = 0;
-        while from + k < pattern.len() {
-            match self.try_vertebra_out(node + k as NodeId)? {
-                Some(c) if c == pattern.get(from + k) => k += 1,
-                _ => break,
-            }
-        }
-        Ok(k)
-    }
-
     // ----- fallible query surface -------------------------------------------
 
     /// Fallible [`crate::search::locate`]: the end node of `pattern`'s first
@@ -1519,47 +1492,7 @@ impl DiskSpine {
     }
 }
 
-/// Message for the infallible-trait boundary: callers of plain [`SpineOps`]
-/// opted out of error handling, so a real device error can only panic there.
-/// Fault-aware callers use [`FallibleSpineOps`] / [`DiskSpine::try_find_all`].
-const INFALLIBLE_BOUNDARY: &str =
-    "page device error during infallible traversal (use the try_* surface for fault tolerance)";
-
 impl SpineOps for DiskSpine {
-    fn text_len(&self) -> usize {
-        self.len
-    }
-
-    fn vertebra_out(&self, node: NodeId) -> Option<Code> {
-        ((node as usize) < self.len).then(|| self.read_cl(node + 1).expect(INFALLIBLE_BOUNDARY))
-    }
-
-    fn link_of(&self, node: NodeId) -> (NodeId, u32) {
-        self.read_link(node).expect(INFALLIBLE_BOUNDARY)
-    }
-
-    fn rib_of(&self, node: NodeId, c: Code) -> Option<(NodeId, u32)> {
-        self.find_rib(node, c).expect(INFALLIBLE_BOUNDARY)
-    }
-
-    fn extrib_of(&self, node: NodeId, prt: u32) -> Option<(NodeId, u32)> {
-        self.find_extrib(node, prt).expect(INFALLIBLE_BOUNDARY)
-    }
-
-    fn ops_counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    fn backbone_packing(&self) -> Option<u32> {
-        self.packing_bits()
-    }
-
-    fn label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> usize {
-        self.try_label_run_inner(node, pattern, from).expect(INFALLIBLE_BOUNDARY)
-    }
-}
-
-impl FallibleSpineOps for DiskSpine {
     fn text_len(&self) -> usize {
         self.len
     }
@@ -1597,7 +1530,17 @@ impl FallibleSpineOps for DiskSpine {
     }
 
     fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
-        self.try_label_run_inner(node, pattern, from)
+        // The sealed fast path runs under the store lock; the scalar fallback
+        // must not (it calls `try_vertebra_out`, which takes the lock again).
+        {
+            let mut guard = self.store.lock();
+            if let Store::Sealed(s) = &mut *guard {
+                if s.packed_compare && s.bits == pattern.bits() {
+                    return s.label_run(self.len, node, pattern, from);
+                }
+            }
+        }
+        crate::ops::scalar_label_run(self, node, pattern, from)
     }
 
     fn scan_begin(&self, from: NodeId) {
@@ -2413,7 +2356,7 @@ mod sealed_tests {
         // DNA: 2-bit words; protein: 5-bit; bytes: bit-tight store but
         // scalar compare.
         let (_, d) = seal(b"ACGTACGTTTGG", 4);
-        assert_eq!(FallibleSpineOps::backbone_packing(&d), Some(2));
+        assert_eq!(SpineOps::backbone_packing(&d), Some(2));
 
         let a = Alphabet::protein();
         let codes = a.encode(b"MKVLAARDWYHQCGGG").unwrap();
@@ -2425,7 +2368,7 @@ mod sealed_tests {
             Box::<Lru>::default(),
         )
         .unwrap();
-        assert_eq!(FallibleSpineOps::backbone_packing(&d), Some(5));
+        assert_eq!(SpineOps::backbone_packing(&d), Some(5));
         let r = Spine::build(a.clone(), &codes).unwrap();
         for p in [&b"VLA"[..], b"GGG", b"MKVLA", b"WWW"] {
             let p = a.encode(p).unwrap();
@@ -2442,7 +2385,7 @@ mod sealed_tests {
             Box::<Lru>::default(),
         )
         .unwrap();
-        assert_eq!(FallibleSpineOps::backbone_packing(&d), None);
+        assert_eq!(SpineOps::backbone_packing(&d), None);
         let r = Spine::build(a.clone(), &codes).unwrap();
         for p in [&b"issi"[..], b"ppi$m", b"zzz"] {
             let p = a.encode(p).unwrap();
@@ -2469,7 +2412,7 @@ mod sealed_tests {
             [&b"ACG"[..], b"TTACG", b"GTT"].iter().map(|p| a.encode(p).unwrap()).collect();
         let before: Vec<_> = patterns.iter().map(|p| StringIndex::find_all(&src, p)).collect();
         let d = src.seal_to(Box::new(MemDevice::new()), 4, Box::<Lru>::default()).unwrap();
-        assert_eq!(FallibleSpineOps::backbone_packing(&d), None);
+        assert_eq!(SpineOps::backbone_packing(&d), None);
         for (p, want) in patterns.iter().zip(&before) {
             assert_eq!(&StringIndex::find_all(&d, p), want);
         }
@@ -2789,7 +2732,7 @@ mod reopen_tests {
         assert!(reopened.is_sealed());
         assert_eq!(reopened.len(), text.len());
         // The packed compare survives the round trip.
-        assert_eq!(FallibleSpineOps::backbone_packing(&reopened), Some(2));
+        assert_eq!(SpineOps::backbone_packing(&reopened), Some(2));
         assert_eq!(StringIndex::find_all(&reopened, &a.encode(b"ACGACG").unwrap()), before);
         assert_eq!(reopened.sealed_census().unwrap(), census_before);
         // Full equivalence against a fresh in-memory build.

@@ -36,19 +36,17 @@
 //!   latencies, batch sizes, and per-query/per-batch tracing spans. Engines
 //!   built with [`QueryEngine::new`] record nothing and pay nothing.
 //!
-//! Any [`ServeIndex`] works. Every [`FallibleSpineOps`] engine is one for
-//! free (a blanket impl answers the batch through
-//! [`crate::occurrences::try_find_all_ends_batch`]):
-//! the reference [`crate::Spine`], the §5 [`crate::CompactSpine`], a
-//! [`GeneralizedSpine`] over many documents, or a page-resident
+//! Any [`ServeIndex`] works. Every [`SpineOps`] index is one for free (a
+//! blanket impl answers the batch through
+//! [`crate::occurrences::try_find_all_ends_batch`]): the reference
+//! [`crate::Spine`], the §5 [`crate::CompactSpine`], a
+//! [`crate::GeneralizedSpine`] over many documents, or a page-resident
 //! [`crate::DiskSpine`] — whose storage faults degrade the affected
 //! requests to [`QueryOutcome::Failed`] instead of tearing down the server.
-//! Composite indexes like the segmented LSM store
-//! ([`crate::SegmentedSpine`]) implement [`ServeIndex`] directly and answer
-//! with document-level matches ([`QueryOutcome::DoneDocs`]). For corpora
-//! too large for one backbone, [`ShardedEngine`] partitions documents
-//! across several generalized indexes, broadcasts every pattern, and merges
-//! the per-shard answers into global [`DocMatch`]es.
+//! Document collections that grow, shrink and outlive one backbone are
+//! served by the segmented LSM store ([`crate::SegmentedSpine`]), which
+//! implements [`ServeIndex`] directly and answers with document-level
+//! matches ([`QueryOutcome::DoneDocs`]).
 //!
 //! ```
 //! use spine::engine::{EngineConfig, QueryEngine};
@@ -73,13 +71,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::generalized::{DocMatch, GeneralizedSpine};
+use crate::generalized::DocMatch;
 use crate::node::NodeId;
 use crate::occurrences::{try_find_all_ends_batch, Target};
-use crate::ops::FallibleSpineOps;
+use crate::ops::SpineOps;
 use crate::search::try_locate;
 use strindex::telemetry::{Histogram, MetricsRegistry, SlidingWindow, SloTracker, Stage};
-use strindex::{Alphabet, Code, CountersSnapshot, Result};
+use strindex::{Code, CountersSnapshot};
 
 /// What happens to a submission that finds the admission queue full.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -224,9 +222,10 @@ impl QueryResult {
 /// Batch statistics for one worker thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerMetrics {
-    /// Backbone scans this worker performed (= coalesced batches).
+    /// Coalesced batches this worker resolved, one index call each (link
+    /// walks per pattern, or one shared backbone scan).
     pub batches: u64,
-    /// Individual queries answered.
+    /// Queries that sat in those batches, whatever their outcome.
     pub queries: u64,
     /// Largest batch it coalesced.
     pub max_batch: u64,
@@ -236,8 +235,8 @@ pub struct WorkerMetrics {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Index work counters (nodes checked, links followed, …), summed over
-    /// every structure the engine queries (one for a [`QueryEngine`], one
-    /// per shard for a [`ShardedEngine`]).
+    /// every structure the index queries (one backbone, or memtable + every
+    /// segment of a [`crate::SegmentedSpine`]).
     pub index: CountersSnapshot,
     /// Per-worker batch statistics, one entry per pool thread.
     pub workers: Vec<WorkerMetrics>,
@@ -271,13 +270,14 @@ impl MetricsSnapshot {
     }
 
     /// Mean queries per coalesced batch — the coalescing factor. 0 when
-    /// idle.
+    /// idle. Counts every batched query whatever its outcome, and none of
+    /// the [`QueryEngine::submit_traced`] ones, which bypass batching.
     pub fn mean_batch(&self) -> f64 {
         let b = self.batches();
         if b == 0 {
             0.0
         } else {
-            self.completed as f64 / b as f64
+            self.workers.iter().map(|w| w.queries).sum::<u64>() as f64 / b as f64
         }
     }
 
@@ -330,7 +330,7 @@ impl WorkerStats {
 /// What a [`QueryEngine`] needs from an index: answer a coalesced batch of
 /// patterns, one outcome per pattern, in order.
 ///
-/// Every [`FallibleSpineOps`] engine gets this for free via a blanket impl
+/// Every [`SpineOps`] index gets this for free via a blanket impl
 /// that resolves the whole batch in one call
 /// ([`crate::occurrences::try_find_all_ends_batch`]: a link walk per
 /// pattern, or one shared backbone scan without children lists) and answers in
@@ -354,7 +354,7 @@ pub trait ServeIndex: Send + Sync {
 
 /// The batching path every single-backbone engine shares: locate each
 /// pattern's valid path, then enumerate all located patterns at once.
-impl<S: FallibleSpineOps + Send + Sync> ServeIndex for S {
+impl<S: SpineOps + Send + Sync> ServeIndex for S {
     fn answer_patterns(&self, patterns: &[&[Code]]) -> Vec<QueryOutcome> {
         let located: Vec<Located> = patterns
             .iter()
@@ -743,19 +743,6 @@ impl<S: ServeIndex + 'static> QueryEngine<S> {
         out
     }
 
-    /// True when the admission queue is at capacity (advisory; used by
-    /// [`ShardedEngine`] to make broadcast admission all-or-nothing).
-    pub(crate) fn is_full(&self) -> bool {
-        self.shared.lock().pending.len() >= self.queue_capacity
-    }
-
-    /// Account one request shed before reaching this engine's queue.
-    pub(crate) fn record_shed(&self) {
-        let mut st = self.shared.lock();
-        st.ledger.submitted += 1;
-        st.ledger.shed += 1;
-    }
-
     /// Block until every admitted query has an outcome, then return all
     /// accumulated results sorted by [`QueryId`].
     ///
@@ -795,7 +782,7 @@ impl<S: ServeIndex + 'static> QueryEngine<S> {
     }
 }
 
-impl<S: FallibleSpineOps + Send + Sync + 'static> QueryEngine<S> {
+impl<S: SpineOps + Send + Sync + 'static> QueryEngine<S> {
     /// Answer one pattern synchronously on the calling thread with a full
     /// EXPLAIN trace attached ([`crate::trace::QueryTrace`]).
     ///
@@ -807,7 +794,7 @@ impl<S: FallibleSpineOps + Send + Sync + 'static> QueryEngine<S> {
     /// query. It bypasses the admission queue — EXPLAIN is a diagnostic
     /// read, not load — and never sheds.
     ///
-    /// Only single-backbone ([`FallibleSpineOps`]) engines trace; composite
+    /// Only single-backbone ([`SpineOps`]) engines trace; composite
     /// stores explain per component ([`crate::SegmentedSpine::explain`]).
     ///
     /// A storage fault ends as [`QueryOutcome::Failed`] with the partial
@@ -1076,270 +1063,6 @@ fn answer_batch<S: ServeIndex + ?Sized>(index: &S, batch: &[Request]) -> Vec<Que
         .collect()
 }
 
-/// How one broadcast pattern ended up across every shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardedOutcome {
-    /// Every shard answered; occurrences are merged in global coordinates.
-    Done(Vec<DocMatch>),
-    /// At least one shard timed the request out (and none failed).
-    TimedOut,
-    /// At least one shard failed the request; messages are joined.
-    Failed(String),
-}
-
-/// An occurrence set merged across shards, tagged with global document ids.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedResult {
-    /// Id from [`ShardedEngine::submit`].
-    pub id: QueryId,
-    /// The pattern.
-    pub pattern: Vec<Code>,
-    /// How the broadcast ended up.
-    pub outcome: ShardedOutcome,
-}
-
-impl ShardedResult {
-    /// Merged matches if every shard answered, `None` otherwise.
-    pub fn matches(&self) -> Option<&[DocMatch]> {
-        match &self.outcome {
-            ShardedOutcome::Done(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Merged matches; panics if any shard timed out or failed.
-    pub fn expect_matches(&self) -> &[DocMatch] {
-        match &self.outcome {
-            ShardedOutcome::Done(m) => m,
-            other => panic!("sharded query {} did not complete: {other:?}", self.id),
-        }
-    }
-}
-
-/// Document-sharded deployment: `n` generalized SPINE indexes, each fronted
-/// by its own [`QueryEngine`], with patterns broadcast to every shard and
-/// the per-shard answers merged back into global document coordinates.
-///
-/// Sharding bounds per-index backbone length (shorter scans, independent
-/// construction) at the cost of running every pattern `n` times; it is the
-/// deployment §6 of the paper gestures at for corpora beyond one index.
-///
-/// Admission is all-or-nothing: under [`ShedPolicy::RejectNewest`] a
-/// broadcast is shed *before* reaching any shard queue when any shard is
-/// full, so the per-shard result streams always stay index-aligned.
-pub struct ShardedEngine {
-    engines: Vec<QueryEngine<GeneralizedSpine>>,
-    /// `global_doc[s][d]` = global id of shard `s`'s local document `d`.
-    global_doc: Vec<Vec<usize>>,
-    shed_policy: ShedPolicy,
-    /// Serializes broadcasts so every shard sees the same request order and
-    /// the all-shards-have-space check cannot interleave with another
-    /// submitter's pushes.
-    submit_lock: Mutex<()>,
-    submitted: AtomicU64,
-    /// Registry + merge histogram when built with telemetry.
-    telemetry: Option<(Arc<MetricsRegistry>, Arc<Histogram>)>,
-}
-
-impl ShardedEngine {
-    /// Partition `docs` round-robin across `shards` generalized indexes and
-    /// start a worker pool (of `config.workers` threads *per shard*) over
-    /// each.
-    pub fn build(
-        alphabet: Alphabet,
-        docs: &[Vec<Code>],
-        shards: usize,
-        config: EngineConfig,
-    ) -> Result<Self> {
-        Self::build_inner(alphabet, docs, shards, config, None)
-    }
-
-    /// [`build`](Self::build), with every shard engine and the cross-shard
-    /// merge recording into one shared `registry`.
-    pub fn build_with_telemetry(
-        alphabet: Alphabet,
-        docs: &[Vec<Code>],
-        shards: usize,
-        config: EngineConfig,
-        registry: Arc<MetricsRegistry>,
-    ) -> Result<Self> {
-        Self::build_inner(alphabet, docs, shards, config, Some(registry))
-    }
-
-    fn build_inner(
-        alphabet: Alphabet,
-        docs: &[Vec<Code>],
-        shards: usize,
-        config: EngineConfig,
-        registry: Option<Arc<MetricsRegistry>>,
-    ) -> Result<Self> {
-        let shards = shards.max(1).min(docs.len().max(1));
-        let mut indexes: Vec<GeneralizedSpine> =
-            (0..shards).map(|_| GeneralizedSpine::new(alphabet.clone())).collect();
-        let mut global_doc: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (g, doc) in docs.iter().enumerate() {
-            let s = g % shards;
-            indexes[s].add_document(doc)?;
-            global_doc[s].push(g);
-        }
-        let engines = indexes
-            .into_iter()
-            .map(|ix| match &registry {
-                Some(r) => QueryEngine::with_telemetry(Arc::new(ix), config, Arc::clone(r)),
-                None => QueryEngine::new(Arc::new(ix), config),
-            })
-            .collect();
-        Ok(ShardedEngine {
-            engines,
-            global_doc,
-            shed_policy: config.shed,
-            submit_lock: Mutex::new(()),
-            submitted: AtomicU64::new(0),
-            telemetry: registry.map(|r| {
-                let merge = r.stage(Stage::ResultMerge);
-                (r, merge)
-            }),
-        })
-    }
-
-    /// Number of shards actually built.
-    pub fn shard_count(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// Broadcast one pattern to every shard, or shed it from all of them.
-    pub fn submit(&self, pattern: Vec<Code>) -> std::result::Result<QueryId, SubmitError> {
-        self.submit_request(pattern, None)
-    }
-
-    /// [`submit`](Self::submit) with a deadline applied on every shard.
-    pub fn submit_with_deadline(
-        &self,
-        pattern: Vec<Code>,
-        deadline: Instant,
-    ) -> std::result::Result<QueryId, SubmitError> {
-        self.submit_request(pattern, Some(deadline))
-    }
-
-    fn submit_request(
-        &self,
-        pattern: Vec<Code>,
-        deadline: Option<Instant>,
-    ) -> std::result::Result<QueryId, SubmitError> {
-        let _serial = self.submit_lock.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.shed_policy == ShedPolicy::RejectNewest
-            && self.engines.iter().any(QueryEngine::is_full)
-        {
-            // Shed from every shard before touching any queue: workers only
-            // ever *free* space, so a non-full check under the submit lock
-            // cannot be invalidated before the pushes below.
-            for e in &self.engines {
-                e.record_shed();
-            }
-            return Err(SubmitError::Overloaded);
-        }
-        for e in &self.engines {
-            let admitted = match deadline {
-                Some(d) => e.submit_with_deadline(pattern.clone(), d),
-                None => e.submit(pattern.clone()),
-            };
-            admitted.expect("shard admission is all-or-nothing under the submit lock");
-        }
-        Ok(self.submitted.fetch_add(1, Relaxed))
-    }
-
-    /// Wait for all shards, merge each pattern's per-shard occurrences into
-    /// global document coordinates, and return results in submission order.
-    ///
-    /// Every shard receives every admitted pattern in the same order, so the
-    /// shard-local result streams (sorted by shard-local id) align
-    /// index-for-index with the global submission order. A request that
-    /// failed or timed out on any shard reports that fate globally.
-    pub fn drain(&self) -> Vec<ShardedResult> {
-        let per_shard: Vec<Vec<QueryResult>> = self.engines.iter().map(|e| e.drain()).collect();
-        // Timed from here: only the cross-shard merge below, not the blocking
-        // shard drains above.
-        let merge_start = Instant::now();
-        let n = per_shard.first().map(|v| v.len()).unwrap_or(0);
-        let mut out = Vec::with_capacity(n);
-        for q in 0..n {
-            let pattern = per_shard[0][q].pattern.clone();
-            let plen = pattern.len();
-            let mut matches: Vec<DocMatch> = Vec::new();
-            let mut timed_out = false;
-            let mut failures: Vec<String> = Vec::new();
-            for (s, results) in per_shard.iter().enumerate() {
-                let shard_index = self.engines[s].index();
-                match &results[q].outcome {
-                    QueryOutcome::Done(ends) => {
-                        for &end in ends {
-                            let local = shard_index.localize(end as usize - plen);
-                            matches.push(DocMatch {
-                                doc: self.global_doc[s][local.doc],
-                                offset: local.offset,
-                            });
-                        }
-                    }
-                    // Shard engines answer through the concatenation path
-                    // today; if a future shard index answers per document,
-                    // its local doc ids still map through the same table.
-                    QueryOutcome::DoneDocs(ms) => {
-                        for m in ms {
-                            matches.push(DocMatch {
-                                doc: self.global_doc[s][m.doc],
-                                offset: m.offset,
-                            });
-                        }
-                    }
-                    QueryOutcome::TimedOut => timed_out = true,
-                    QueryOutcome::Failed(e) => failures.push(format!("shard {s}: {e}")),
-                }
-            }
-            let outcome = if !failures.is_empty() {
-                ShardedOutcome::Failed(failures.join("; "))
-            } else if timed_out {
-                ShardedOutcome::TimedOut
-            } else {
-                matches.sort_unstable();
-                ShardedOutcome::Done(matches)
-            };
-            out.push(ShardedResult { id: q as QueryId, pattern, outcome });
-        }
-        if let Some((registry, merge)) = &self.telemetry {
-            let elapsed = merge_start.elapsed();
-            merge.record(elapsed);
-            registry.record_span("sharded.merge", merge_start, elapsed);
-        }
-        out
-    }
-
-    /// Aggregated metrics: index counters summed across shards, worker lists
-    /// concatenated, queue depth taken as the per-shard maximum.
-    ///
-    /// Each shard's snapshot is consistent, but the shards are sampled one
-    /// after another, so the *aggregate* invariant only holds when no
-    /// submission is racing the aggregation (per-shard ledgers move
-    /// independently between samples).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut agg = MetricsSnapshot::default();
-        for e in &self.engines {
-            let m = e.metrics();
-            agg.index += m.index;
-            agg.workers.extend(m.workers);
-            agg.submitted += m.submitted;
-            agg.completed += m.completed;
-            agg.shed += m.shed;
-            agg.timed_out += m.timed_out;
-            agg.failed += m.failed;
-            agg.pending += m.pending;
-            agg.in_flight += m.in_flight;
-            agg.worker_respawns += m.worker_respawns;
-            agg.peak_queue_depth = agg.peak_queue_depth.max(m.peak_queue_depth);
-        }
-        agg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1495,6 +1218,19 @@ mod tests {
     }
 
     #[test]
+    fn mean_batch_counts_batched_queries_only() {
+        // Regression: mean_batch divided `completed` by the batch count, so
+        // a traced query (answered outside any batch) inflated it to 2.0.
+        let (a, engine) = paper_engine(1);
+        engine.submit_traced(a.encode(b"CA").unwrap());
+        engine.submit(a.encode(b"AC").unwrap()).unwrap();
+        engine.drain();
+        let m = engine.metrics();
+        assert_eq!((m.completed, m.batches()), (2, 1));
+        assert_eq!(m.mean_batch(), 1.0);
+    }
+
+    #[test]
     fn works_over_the_compact_layout() {
         let a = Alphabet::dna();
         let c = CompactSpine::build_from_bytes(a.clone(), b"AACCACAACA").unwrap();
@@ -1559,82 +1295,6 @@ mod tests {
         engine.submit_with_deadline(a.encode(b"CA").unwrap(), soon).unwrap();
         let r = engine.drain();
         assert_eq!(r[0].expect_starts(), vec![3, 5, 8]);
-    }
-
-    #[test]
-    fn sharded_engine_matches_unsharded_generalized() {
-        let a = Alphabet::dna();
-        let docs: Vec<Vec<Code>> = [&b"ACGTACGT"[..], b"TTACG", b"GGGG", b"ACACAC", b"T"]
-            .iter()
-            .map(|d| a.encode(d).unwrap())
-            .collect();
-
-        let mut reference = GeneralizedSpine::new(a.clone());
-        for d in &docs {
-            reference.add_document(d).unwrap();
-        }
-
-        let cfg = EngineConfig { workers: 2, batch_max: 4, ..Default::default() };
-        let sharded = ShardedEngine::build(a.clone(), &docs, 3, cfg).unwrap();
-        assert_eq!(sharded.shard_count(), 3);
-
-        let pats = [&b"ACG"[..], b"T", b"GG", b"CACA", b"TTT"];
-        for p in pats {
-            sharded.submit(a.encode(p).unwrap()).unwrap();
-        }
-        let results = sharded.drain();
-        assert_eq!(results.len(), pats.len());
-        for (r, p) in results.iter().zip(&pats) {
-            assert_eq!(
-                r.expect_matches(),
-                reference.find_all(&a.encode(p).unwrap()),
-                "pattern {p:?}"
-            );
-        }
-
-        let m = sharded.metrics();
-        assert_eq!(m.completed, (pats.len() * sharded.shard_count()) as u64);
-        assert_eq!(m.workers.len(), 2 * sharded.shard_count());
-        assert_eq!(m.accounted(), m.submitted);
-    }
-
-    #[test]
-    fn sharded_engine_single_shard_degenerate() {
-        let a = Alphabet::dna();
-        let docs = vec![a.encode(b"ACGT").unwrap()];
-        let sharded = ShardedEngine::build(a.clone(), &docs, 8, EngineConfig::default()).unwrap();
-        assert_eq!(sharded.shard_count(), 1); // clamped to doc count
-        sharded.submit(a.encode(b"CG").unwrap()).unwrap();
-        let r = sharded.drain();
-        assert_eq!(r[0].expect_matches(), [DocMatch { doc: 0, offset: 1 }]);
-    }
-
-    #[test]
-    fn sharded_edge_patterns() {
-        let a = Alphabet::dna();
-        let docs: Vec<Vec<Code>> =
-            [&b"ACGT"[..], b"TT"].iter().map(|d| a.encode(d).unwrap()).collect();
-        let sharded = ShardedEngine::build(a.clone(), &docs, 2, EngineConfig::default()).unwrap();
-        sharded.submit(a.encode(&b"A".repeat(64)).unwrap()).unwrap(); // longer than any doc
-        sharded.submit(vec![17]).unwrap(); // out-of-alphabet code
-        let r = sharded.drain();
-        assert_eq!(r[0].expect_matches(), [] as [DocMatch; 0]);
-        assert_eq!(r[1].expect_matches(), [] as [DocMatch; 0]);
-    }
-
-    #[test]
-    fn sharded_expired_deadline_reports_timeout() {
-        let a = Alphabet::dna();
-        let docs = vec![a.encode(b"ACGTACGT").unwrap(), a.encode(b"TTACG").unwrap()];
-        let cfg = EngineConfig { workers: 1, ..Default::default() };
-        let sharded = ShardedEngine::build(a.clone(), &docs, 2, cfg).unwrap();
-        let past = Instant::now() - Duration::from_secs(1);
-        sharded.submit_with_deadline(a.encode(b"ACG").unwrap(), past).unwrap();
-        let r = sharded.drain();
-        assert_eq!(r[0].outcome, ShardedOutcome::TimedOut);
-        assert!(r[0].matches().is_none());
-        let m = sharded.metrics();
-        assert_eq!(m.accounted(), m.submitted);
     }
 
     #[test]
@@ -1709,28 +1369,6 @@ mod tests {
         // A plain engine records nothing and has no registry.
         let plain = paper_engine(1).1;
         assert!(plain.registry().is_none());
-    }
-
-    #[test]
-    fn sharded_telemetry_shares_one_registry() {
-        let a = Alphabet::dna();
-        let docs: Vec<Vec<Code>> =
-            [&b"ACGTACGT"[..], b"TTACG", b"GGGG"].iter().map(|d| a.encode(d).unwrap()).collect();
-        let registry = Arc::new(MetricsRegistry::new());
-        let cfg = EngineConfig { workers: 1, batch_max: 4, ..Default::default() };
-        let sharded =
-            ShardedEngine::build_with_telemetry(a.clone(), &docs, 2, cfg, Arc::clone(&registry))
-                .unwrap();
-        sharded.submit(a.encode(b"ACG").unwrap()).unwrap();
-        sharded.submit(a.encode(b"G").unwrap()).unwrap();
-        sharded.drain();
-        let snap = registry.snapshot();
-        // Both shards fed the same stage histograms (2 queries × 2 shards).
-        assert_eq!(snap.histogram("engine.query_latency").unwrap().count, 4);
-        // The cross-shard merge recorded into ResultMerge and left a span.
-        assert!(snap.spans.iter().any(|s| s.name == "sharded.merge"));
-        let m = sharded.metrics();
-        assert!(m.is_consistent());
     }
 
     #[test]

@@ -197,32 +197,39 @@ impl SpineOps for GeneralizedSpine {
         SpineOps::text_len(&self.spine)
     }
 
-    fn vertebra_out(&self, node: NodeId) -> Option<Code> {
-        self.spine.vertebra_out(node)
+    #[inline]
+    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
+        self.spine.try_vertebra_out(node)
     }
 
-    fn link_of(&self, node: NodeId) -> (NodeId, u32) {
-        self.spine.link_of(node)
+    #[inline]
+    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
+        self.spine.try_link_of(node)
     }
 
-    fn rib_of(&self, node: NodeId, c: Code) -> Option<(NodeId, u32)> {
-        self.spine.rib_of(node, c)
+    #[inline]
+    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
+        self.spine.try_rib_of(node, c)
     }
 
-    fn extrib_of(&self, node: NodeId, prt: u32) -> Option<(NodeId, u32)> {
-        self.spine.extrib_of(node, prt)
+    #[inline]
+    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
+        self.spine.try_extrib_of(node, prt)
     }
 
+    #[inline]
     fn ops_counters(&self) -> &Counters {
         self.spine.ops_counters()
     }
 
+    #[inline]
     fn link_children(&self) -> Option<crate::ops::LinkChildren<'_>> {
         // The concatenation is an ordinary text to the link tree, so the
         // walk finds exactly what the backbone scan finds.
         self.spine.link_children()
     }
 
+    #[inline]
     fn backbone_packing(&self) -> Option<u32> {
         // A DNA concatenation self-disables (separators exceed 2 bits); a
         // protein one packs separators verbatim, which never match a
@@ -230,8 +237,14 @@ impl SpineOps for GeneralizedSpine {
         self.spine.backbone_packing()
     }
 
-    fn label_run(&self, node: NodeId, pattern: &strindex::PackedText, from: usize) -> usize {
-        self.spine.label_run(node, pattern, from)
+    #[inline]
+    fn try_label_run(
+        &self,
+        node: NodeId,
+        pattern: &strindex::PackedText,
+        from: usize,
+    ) -> Result<usize> {
+        self.spine.try_label_run(node, pattern, from)
     }
 }
 

@@ -90,7 +90,7 @@ pub use compact::CompactSpine;
 pub use disk::{DiskSpine, PageMap, SealedCensus, DISK_FORMAT_VERSION};
 pub use engine::{
     CompletionHook, EngineConfig, MetricsSnapshot, PanicHook, QueryEngine, QueryOutcome,
-    QueryResult, ServeIndex, ShardedEngine, ShardedOutcome, ShardedResult, ShedPolicy, SubmitError,
+    QueryResult, ServeIndex, ShedPolicy, SubmitError,
 };
 pub use generalized::{DocMatch, GeneralizedSpine};
 pub use hot::HotSet;
@@ -101,9 +101,9 @@ pub use observe::{
     BuildEvent, BuildObserver, BuildPhase, BuildProgress, BuildStats, MemBreakdown, MergeObserver,
     MergePhase, MergeTee, MergeTimes, NoBuildObserver, NoMergeObserver, ProgressReport, Tee,
 };
-pub use ops::{FallibleSpineOps, Infallible, SpineOps};
-pub use prefix::{PrefixView, SpinePrefix};
-pub use search::{locate, step, try_locate, try_step};
+pub use ops::SpineOps;
+pub use prefix::PrefixView;
+pub use search::{locate, try_locate, try_step};
 pub use segments::{
     spawn_merger, IoGate, MergeHandle, SegmentConfig, SegmentedSpine, SegmentsSnapshot,
 };

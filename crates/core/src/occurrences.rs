@@ -25,35 +25,35 @@
 //!   against and the paper's reproductions time.
 //!
 //! Enumeration dispatches once, in [`try_occurrences_from_traced`] and
-//! [`try_find_all_ends_batch`], on [`FallibleSpineOps::link_children`]:
+//! [`try_find_all_ends_batch`], on [`SpineOps::link_children`]:
 //! structures that keep the lists (the in-memory [`crate::Spine`] and
 //! [`crate::GeneralizedSpine`]) walk, the rest (the §5 compact layout,
 //! page-resident engines, prefix views) scan.
 
 use crate::node::NodeId;
-use crate::ops::{FallibleSpineOps, Infallible, LinkChildren, SpineOps};
+use crate::ops::{LinkChildren, SpineOps, INFALLIBLE_BOUNDARY};
 use crate::search::try_locate_traced;
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
 use strindex::{Code, Counters, FxHashMap, Result};
 
 /// End positions (1-based) of all occurrences of `pattern`, ascending.
+///
+/// # Panics
+/// On a storage error; [`try_find_all_ends`] returns it instead.
 pub fn find_all_ends<S: SpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Vec<NodeId> {
-    try_find_all_ends(&Infallible(s), pattern).expect("in-memory SPINE ops are infallible")
+    try_find_all_ends(s, pattern).expect(INFALLIBLE_BOUNDARY)
 }
 
 /// Fallible [`find_all_ends`]: a storage failure during the valid-path walk
 /// or the enumeration surfaces as `Err` instead of a panic.
-pub fn try_find_all_ends<S: FallibleSpineOps + ?Sized>(
-    s: &S,
-    pattern: &[Code],
-) -> Result<Vec<NodeId>> {
+pub fn try_find_all_ends<S: SpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Result<Vec<NodeId>> {
     try_find_all_ends_traced(s, &mut NoTrace, pattern)
 }
 
 /// [`try_find_all_ends`] with a [`TraceSink`] attached: the valid-path walk
 /// and the enumeration both report their decisions. This is the traversal
 /// behind `explain` ([`crate::trace::explain`]).
-pub fn try_find_all_ends_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
+pub fn try_find_all_ends_traced<S: SpineOps + ?Sized, T: TraceSink + ?Sized>(
     s: &S,
     sink: &mut T,
     pattern: &[Code],
@@ -65,26 +65,12 @@ pub fn try_find_all_ends_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Si
 }
 
 /// All nodes ending an occurrence of the length-`len` string whose first
-/// occurrence ends at `first`, ascending.
-pub fn occurrences_from<S: SpineOps + ?Sized>(s: &S, first: NodeId, len: u32) -> Vec<NodeId> {
-    try_occurrences_from(&Infallible(s), first, len).expect("in-memory SPINE ops are infallible")
-}
-
-/// Fallible [`occurrences_from`].
-pub fn try_occurrences_from<S: FallibleSpineOps + ?Sized>(
-    s: &S,
-    first: NodeId,
-    len: u32,
-) -> Result<Vec<NodeId>> {
-    try_occurrences_from_traced(s, &mut NoTrace, first, len)
-}
-
-/// [`try_occurrences_from`] with a [`TraceSink`] attached. The link walk
-/// emits one [`TraceEvent::WalkStart`]; the backbone scan one
+/// occurrence ends at `first`, ascending, with a [`TraceSink`] attached.
+/// The link walk emits one [`TraceEvent::WalkStart`]; the backbone scan one
 /// [`TraceEvent::ScanStart`] and (for page-resident structures) a single
 /// [`TraceEvent::PageFetches`] aggregating its buffer-pool traffic. Either
 /// way one [`TraceEvent::Occurrence`] per further end follows, ascending.
-pub fn try_occurrences_from_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
+pub fn try_occurrences_from_traced<S: SpineOps + ?Sized, T: TraceSink + ?Sized>(
     s: &S,
     sink: &mut T,
     first: NodeId,
@@ -146,13 +132,13 @@ pub fn backbone_scan_ends<S: SpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Vec<
     let Some(first) = crate::search::locate(s, pattern) else {
         return Vec::new();
     };
-    try_backbone_scan_traced(&Infallible(s), &mut NoTrace, first, pattern.len() as u32)
-        .expect("in-memory SPINE ops are infallible")
+    try_backbone_scan_traced(s, &mut NoTrace, first, pattern.len() as u32)
+        .expect(INFALLIBLE_BOUNDARY)
 }
 
 /// The backbone scan for one target: [`try_occurrences_from_traced`]'s path
 /// for structures without children lists.
-fn try_backbone_scan_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
+fn try_backbone_scan_traced<S: SpineOps + ?Sized, T: TraceSink + ?Sized>(
     s: &S,
     sink: &mut T,
     first: NodeId,
@@ -180,19 +166,19 @@ fn try_backbone_scan_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>
     Ok(buffer)
 }
 
-/// Pairs [`FallibleSpineOps::scan_begin`] with a guaranteed
-/// [`FallibleSpineOps::scan_end`], so an `Err` mid-scan cannot leave a
+/// Pairs [`SpineOps::scan_begin`] with a guaranteed
+/// [`SpineOps::scan_end`], so an `Err` mid-scan cannot leave a
 /// page-resident structure stuck in scan mode.
-struct ScanGuard<'a, S: FallibleSpineOps + ?Sized>(&'a S);
+struct ScanGuard<'a, S: SpineOps + ?Sized>(&'a S);
 
-impl<'a, S: FallibleSpineOps + ?Sized> ScanGuard<'a, S> {
+impl<'a, S: SpineOps + ?Sized> ScanGuard<'a, S> {
     fn enter(s: &'a S, from: NodeId) -> Self {
         s.scan_begin(from);
         ScanGuard(s)
     }
 }
 
-impl<S: FallibleSpineOps + ?Sized> Drop for ScanGuard<'_, S> {
+impl<S: SpineOps + ?Sized> Drop for ScanGuard<'_, S> {
     fn drop(&mut self) {
         self.0.scan_end();
     }
@@ -216,12 +202,12 @@ pub fn find_all_ends_batch<S: SpineOps + ?Sized>(
     s: &S,
     targets: &[Target],
 ) -> FxHashMap<Target, Vec<NodeId>> {
-    try_find_all_ends_batch(&Infallible(s), targets).expect("in-memory SPINE ops are infallible")
+    try_find_all_ends_batch(s, targets).expect(INFALLIBLE_BOUNDARY)
 }
 
 /// Fallible [`find_all_ends_batch`]: the scan stops at the first storage
 /// failure and surfaces it as `Err` (no partial result escapes).
-pub fn try_find_all_ends_batch<S: FallibleSpineOps + ?Sized>(
+pub fn try_find_all_ends_batch<S: SpineOps + ?Sized>(
     s: &S,
     targets: &[Target],
 ) -> Result<FxHashMap<Target, Vec<NodeId>>> {
@@ -247,10 +233,10 @@ pub fn backbone_scan_batch<S: SpineOps + ?Sized>(
     s: &S,
     targets: &[Target],
 ) -> FxHashMap<Target, Vec<NodeId>> {
-    try_backbone_scan_batch(&Infallible(s), targets).expect("in-memory SPINE ops are infallible")
+    try_backbone_scan_batch(s, targets).expect(INFALLIBLE_BOUNDARY)
 }
 
-fn try_backbone_scan_batch<S: FallibleSpineOps + ?Sized>(
+fn try_backbone_scan_batch<S: SpineOps + ?Sized>(
     s: &S,
     targets: &[Target],
 ) -> Result<FxHashMap<Target, Vec<NodeId>>> {

@@ -8,23 +8,33 @@
 //! and [`crate::matching`] are written once against it.
 //!
 //! Storage-backed representations can fail mid-traversal (a page read can
-//! error), so there is a second, *fallible* surface: [`FallibleSpineOps`]
-//! returns `Result` from every structural accessor. The in-memory engines
-//! implement it by wrapping their infallible answers in `Ok`;
-//! [`crate::DiskSpine`] implements it by propagating real device errors.
+//! error), so every required accessor returns `Result`: the in-memory
+//! layouts answer `Ok`, [`crate::DiskSpine`] propagates real device errors.
 //! The core traversals ([`crate::search::try_locate`],
-//! [`crate::occurrences::try_find_all_ends`]) are written once against the
-//! fallible surface, and the infallible entry points delegate through the
-//! [`Infallible`] adapter.
+//! [`crate::occurrences::try_find_all_ends`]) are written once against
+//! these `try_` accessors. The infallible accessors
+//! ([`SpineOps::vertebra_out`] and friends) and entry points
+//! ([`crate::search::locate`], [`crate::occurrences::find_all_ends`]) are
+//! sugar that runs the same traversal and panics on a storage error.
 //!
-//! One hook is optional: [`SpineOps::link_children`] hands out the
+//! A few hooks are optional. [`SpineOps::link_children`] hands out the
 //! reverse-link children lists when a representation keeps them. With
 //! lists, occurrence enumeration walks the link subtree under the first
 //! occurrence; without them (the default) it runs the paper's backbone
 //! scan. Only the in-memory reference layout keeps lists today.
+//! [`SpineOps::backbone_packing`] enables the word-packed locate,
+//! [`SpineOps::storage_counters`] feeds page attribution to traces, and
+//! [`SpineOps::scan_begin`]/[`SpineOps::scan_end`] bracket backbone scans
+//! for page-resident buffer pools.
 
 use crate::node::{Node, NodeId, ROOT};
 use strindex::{Code, Counters, PackedText, Result};
+
+/// Panic message of the infallible sugar: its callers opted out of error
+/// handling, so a storage error can only panic there. Fault-aware callers
+/// use the `try_` surface.
+pub(crate) const INFALLIBLE_BOUNDARY: &str =
+    "storage error during infallible traversal (use the try_* surface for fault tolerance)";
 
 /// Read view of the reverse-link children lists of an in-memory SPINE.
 ///
@@ -55,27 +65,41 @@ impl<'a> LinkChildren<'a> {
 
 /// Read access to a SPINE structure. Node ids are `0..=text_len()`, with 0
 /// the root.
+///
+/// The required accessors are fallible; in-memory representations cannot
+/// fail and answer `Ok`. A storage failure degrades a query to a clean
+/// `Err` (and, at the engine level, a `Failed` outcome) instead of a panic.
 pub trait SpineOps {
-    /// Number of indexed characters.
+    /// Number of indexed characters (metadata; never touches storage).
     fn text_len(&self) -> usize;
 
     /// Character label of the vertebra leaving `node` (text character
     /// `node + 1`), or `None` at the tail.
-    fn vertebra_out(&self, node: NodeId) -> Option<Code>;
+    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>>;
 
     /// `(destination, LEL)` of `node`'s upstream link. Undefined for the
     /// root (implementations may return `(0, 0)`).
-    fn link_of(&self, node: NodeId) -> (NodeId, u32);
+    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)>;
 
     /// `(destination, PT)` of `node`'s rib labeled `c`, if any.
-    fn rib_of(&self, node: NodeId, c: Code) -> Option<(NodeId, u32)>;
+    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>>;
 
     /// `(destination, PT)` of `node`'s extrib belonging to the chain with
     /// parent-rib threshold `prt`, if any.
-    fn extrib_of(&self, node: NodeId, prt: u32) -> Option<(NodeId, u32)>;
+    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>>;
 
     /// Work counters (see [`strindex::Counters`]).
     fn ops_counters(&self) -> &Counters;
+
+    /// Length of the common run of `pattern[from..]` and the backbone
+    /// labels leaving `node` (the text suffix starting at position `node`).
+    /// The default walks vertebras one character at a time; packed
+    /// representations override it with a word-at-a-time compare. Does not
+    /// touch the work counters — the search loop accounts for the run in
+    /// bulk so totals match the scalar path exactly.
+    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
+        scalar_label_run(self, node, pattern, from)
+    }
 
     /// The reverse-link children lists, when this representation keeps
     /// them. `None` (the default) sends occurrence enumeration down the
@@ -87,57 +111,11 @@ pub trait SpineOps {
     /// Bits per symbol of this representation's word-packed backbone
     /// labels, or `None` when only character-at-a-time comparison is
     /// available (byte alphabets, or a packing disabled by a separator
-    /// code). `Some(bits)` promises [`label_run`](Self::label_run) compares
-    /// word-at-a-time against a pattern packed at the same width.
+    /// code). `Some(bits)` promises [`try_label_run`](Self::try_label_run)
+    /// compares word-at-a-time against a pattern packed at the same width.
     fn backbone_packing(&self) -> Option<u32> {
         None
     }
-
-    /// Length of the common run of `pattern[from..]` and the backbone
-    /// labels leaving `node` (the text suffix starting at position `node`).
-    /// The default walks vertebras one character at a time; packed
-    /// representations override it with a word-at-a-time compare. Does not
-    /// touch the work counters — the search loop accounts for the run in
-    /// bulk so totals match the scalar path exactly.
-    fn label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> usize {
-        let mut k = 0;
-        while from + k < pattern.len() {
-            match self.vertebra_out(node + k as NodeId) {
-                Some(c) if c == pattern.get(from + k) => k += 1,
-                _ => break,
-            }
-        }
-        k
-    }
-}
-
-/// Fallible read access to a SPINE structure: every structural accessor can
-/// report a storage error instead of an answer.
-///
-/// This is the surface the concurrent query engine and the fault-tolerant
-/// traversals are written against. In-memory representations cannot fail
-/// and implement it with `Ok(...)` wrappers; [`crate::DiskSpine`] surfaces
-/// buffer-pool/device errors so an injected storage fault degrades a query
-/// to a clean `Err` (and, at the engine level, a `Failed` outcome) instead
-/// of a panic.
-pub trait FallibleSpineOps {
-    /// Number of indexed characters (metadata; never touches storage).
-    fn text_len(&self) -> usize;
-
-    /// Fallible [`SpineOps::vertebra_out`].
-    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>>;
-
-    /// Fallible [`SpineOps::link_of`].
-    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)>;
-
-    /// Fallible [`SpineOps::rib_of`].
-    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>>;
-
-    /// Fallible [`SpineOps::extrib_of`].
-    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>>;
-
-    /// Work counters (see [`strindex::Counters`]).
-    fn ops_counters(&self) -> &Counters;
 
     /// Cumulative `(hits, misses)` of the backing page cache, when this
     /// representation is page-resident; `None` for in-memory structures.
@@ -147,31 +125,6 @@ pub trait FallibleSpineOps {
     /// recording sink is attached, so the untraced paths never pay for it.
     fn storage_counters(&self) -> Option<(u64, u64)> {
         None
-    }
-
-    /// [`SpineOps::link_children`] counterpart: in-memory lists never fail,
-    /// so the hook is the same. `None` by default.
-    fn link_children(&self) -> Option<LinkChildren<'_>> {
-        None
-    }
-
-    /// Fallible [`SpineOps::backbone_packing`] counterpart (metadata; never
-    /// touches storage).
-    fn backbone_packing(&self) -> Option<u32> {
-        None
-    }
-
-    /// Fallible [`SpineOps::label_run`]: page-resident representations read
-    /// label pages through the buffer pool, so the compare can fail.
-    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
-        let mut k = 0;
-        while from + k < pattern.len() {
-            match self.try_vertebra_out(node + k as NodeId)? {
-                Some(c) if c == pattern.get(from + k) => k += 1,
-                _ => break,
-            }
-        }
-        Ok(k)
     }
 
     /// The traversal is about to scan the backbone sequentially from node
@@ -185,120 +138,46 @@ pub trait FallibleSpineOps {
     /// The sequential scan announced by [`scan_begin`](Self::scan_begin)
     /// ended (including by error — callers pair the two with a guard).
     fn scan_end(&self) {}
-}
 
-/// Adapter viewing any infallible [`SpineOps`] as a [`FallibleSpineOps`]
-/// that never errors. Lets the fallible traversals serve as the single
-/// implementation of the core algorithms.
-pub struct Infallible<'a, S: ?Sized>(pub &'a S);
-
-impl<S: SpineOps + ?Sized> FallibleSpineOps for Infallible<'_, S> {
+    /// [`try_vertebra_out`](Self::try_vertebra_out), panicking on a storage error.
     #[inline]
-    fn text_len(&self) -> usize {
-        self.0.text_len()
+    fn vertebra_out(&self, node: NodeId) -> Option<Code> {
+        self.try_vertebra_out(node).expect(INFALLIBLE_BOUNDARY)
     }
 
+    /// [`try_link_of`](Self::try_link_of), panicking on a storage error.
     #[inline]
-    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
-        Ok(self.0.vertebra_out(node))
+    fn link_of(&self, node: NodeId) -> (NodeId, u32) {
+        self.try_link_of(node).expect(INFALLIBLE_BOUNDARY)
     }
 
+    /// [`try_rib_of`](Self::try_rib_of), panicking on a storage error.
     #[inline]
-    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
-        Ok(self.0.link_of(node))
+    fn rib_of(&self, node: NodeId, c: Code) -> Option<(NodeId, u32)> {
+        self.try_rib_of(node, c).expect(INFALLIBLE_BOUNDARY)
     }
 
+    /// [`try_extrib_of`](Self::try_extrib_of), panicking on a storage error.
     #[inline]
-    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
-        Ok(self.0.rib_of(node, c))
-    }
-
-    #[inline]
-    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
-        Ok(self.0.extrib_of(node, prt))
-    }
-
-    #[inline]
-    fn ops_counters(&self) -> &Counters {
-        self.0.ops_counters()
-    }
-
-    #[inline]
-    fn link_children(&self) -> Option<LinkChildren<'_>> {
-        self.0.link_children()
-    }
-
-    #[inline]
-    fn backbone_packing(&self) -> Option<u32> {
-        self.0.backbone_packing()
-    }
-
-    #[inline]
-    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
-        Ok(self.0.label_run(node, pattern, from))
+    fn extrib_of(&self, node: NodeId, prt: u32) -> Option<(NodeId, u32)> {
+        self.try_extrib_of(node, prt).expect(INFALLIBLE_BOUNDARY)
     }
 }
 
-/// Implements [`FallibleSpineOps`] for in-memory representations whose
-/// [`SpineOps`] accessors cannot fail.
-macro_rules! fallible_from_spine_ops {
-    ($($t:ty),* $(,)?) => {$(
-        impl FallibleSpineOps for $t {
-            #[inline]
-            fn text_len(&self) -> usize {
-                SpineOps::text_len(self)
-            }
-
-            #[inline]
-            fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
-                Ok(SpineOps::vertebra_out(self, node))
-            }
-
-            #[inline]
-            fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
-                Ok(SpineOps::link_of(self, node))
-            }
-
-            #[inline]
-            fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
-                Ok(SpineOps::rib_of(self, node, c))
-            }
-
-            #[inline]
-            fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
-                Ok(SpineOps::extrib_of(self, node, prt))
-            }
-
-            #[inline]
-            fn ops_counters(&self) -> &Counters {
-                SpineOps::ops_counters(self)
-            }
-
-            #[inline]
-            fn link_children(&self) -> Option<LinkChildren<'_>> {
-                SpineOps::link_children(self)
-            }
-
-            #[inline]
-            fn backbone_packing(&self) -> Option<u32> {
-                SpineOps::backbone_packing(self)
-            }
-
-            #[inline]
-            fn try_label_run(
-                &self,
-                node: NodeId,
-                pattern: &PackedText,
-                from: usize,
-            ) -> Result<usize> {
-                Ok(SpineOps::label_run(self, node, pattern, from))
-            }
+/// [`SpineOps::try_label_run`] one vertebra at a time: the default, and the
+/// fallback of packed representations whose packing is off.
+pub(crate) fn scalar_label_run<S: SpineOps + ?Sized>(
+    s: &S,
+    node: NodeId,
+    pattern: &PackedText,
+    from: usize,
+) -> Result<usize> {
+    let mut k = 0;
+    while from + k < pattern.len() {
+        match s.try_vertebra_out(node + k as NodeId)? {
+            Some(c) if c == pattern.get(from + k) => k += 1,
+            _ => break,
         }
-    )*};
+    }
+    Ok(k)
 }
-
-fallible_from_spine_ops!(
-    crate::build::Spine,
-    crate::compact::CompactSpine,
-    crate::generalized::GeneralizedSpine,
-);

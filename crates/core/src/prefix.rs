@@ -8,33 +8,39 @@
 //! partitioned this way: a node high in the tree may be created arbitrarily
 //! late.)
 //!
-//! [`SpinePrefix`] is a zero-copy view implementing that filter; the crate's
-//! tests verify it is *structurally identical* to an index freshly built on
-//! the prefix.
+//! [`PrefixView`] is a zero-copy view implementing that filter over any
+//! [`SpineOps`] representation; the crate's tests verify it is
+//! *structurally identical* to an index freshly built on the prefix.
 
 use crate::build::Spine;
-use crate::node::{Extrib, NodeId, Rib, ROOT};
-use strindex::{Alphabet, Code, StringIndex};
+use crate::node::{Extrib, NodeId, Rib};
+use crate::ops::SpineOps;
+use strindex::{Code, Counters, Result};
 
-/// A read-only view of a [`Spine`] restricted to its first `len`
-/// characters.
-pub struct SpinePrefix<'a> {
-    spine: &'a Spine,
+/// A read-only view of a SPINE restricted to its first `len` characters.
+///
+/// The partitioning property is purely structural, so restricting every
+/// rib/extrib to destinations ≤ `len` yields exactly the index of the
+/// length-`len` prefix over the reference, compact and disk layouts alike.
+/// The view keeps the default [`SpineOps::link_children`] and
+/// [`SpineOps::backbone_packing`] (`None`): the children lists and packed
+/// label words reach past the prefix, so queries locate scalar and
+/// enumerate by the backbone scan.
+pub struct PrefixView<'a, S: SpineOps + ?Sized> {
+    inner: &'a S,
     len: NodeId,
 }
 
-impl Spine {
-    /// View this index as the index of its length-`len` prefix.
+impl<'a, S: SpineOps + ?Sized> PrefixView<'a, S> {
+    /// View `inner` as the index of its length-`len` prefix.
     ///
     /// # Panics
-    /// Panics if `len > self.len()`.
-    pub fn prefix(&self, len: usize) -> SpinePrefix<'_> {
-        assert!(len <= self.len(), "prefix longer than the indexed text");
-        SpinePrefix { spine: self, len: len as NodeId }
+    /// Panics if `len` exceeds the indexed length.
+    pub fn new(inner: &'a S, len: usize) -> Self {
+        assert!(len <= inner.text_len(), "prefix longer than the indexed text");
+        PrefixView { inner, len: len as NodeId }
     }
-}
 
-impl SpinePrefix<'_> {
     /// Length of the viewed prefix.
     pub fn len(&self) -> usize {
         self.len as usize
@@ -45,89 +51,107 @@ impl SpinePrefix<'_> {
         self.len == 0
     }
 
+    /// Walk the valid path for `pattern` within the fragment.
+    pub fn locate(&self, pattern: &[Code]) -> Option<NodeId> {
+        crate::search::locate(self, pattern)
+    }
+
+    /// All occurrence start offsets of `pattern` within the prefix.
+    pub fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
+        if pattern.is_empty() {
+            return Vec::new();
+        }
+        crate::occurrences::find_all_ends(self, pattern)
+            .into_iter()
+            .map(|end| end as usize - pattern.len())
+            .collect()
+    }
+}
+
+impl<S: SpineOps + ?Sized> SpineOps for PrefixView<'_, S> {
+    fn text_len(&self) -> usize {
+        self.len as usize
+    }
+
+    #[inline]
+    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
+        if node < self.len {
+            self.inner.try_vertebra_out(node)
+        } else {
+            Ok(None)
+        }
+    }
+
+    #[inline]
+    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
+        // Links always point upstream: valid in any prefix containing node.
+        self.inner.try_link_of(node)
+    }
+
+    #[inline]
+    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
+        Ok(self.inner.try_rib_of(node, c)?.filter(|&(dest, _)| dest <= self.len))
+    }
+
+    #[inline]
+    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
+        // Chain destinations are creation times and increase along the
+        // chain, so this filter truncates the chain to a proper prefix.
+        Ok(self.inner.try_extrib_of(node, prt)?.filter(|&(dest, _)| dest <= self.len))
+    }
+
+    #[inline]
+    fn ops_counters(&self) -> &Counters {
+        self.inner.ops_counters()
+    }
+}
+
+impl PrefixView<'_, Spine> {
     /// Ribs of `node` that exist in the prefix fragment (destination ≤ len).
     pub fn ribs(&self, node: NodeId) -> impl Iterator<Item = &Rib> {
         let len = self.len;
-        self.spine.nodes()[node as usize].ribs.iter().filter(move |r| r.dest <= len)
+        self.inner.nodes()[node as usize].ribs.iter().filter(move |r| r.dest <= len)
     }
 
     /// Extribs of `node` that exist in the prefix fragment.
     pub fn extribs(&self, node: NodeId) -> impl Iterator<Item = &Extrib> {
         let len = self.len;
-        self.spine.nodes()[node as usize].extribs.iter().filter(move |e| e.dest <= len)
-    }
-
-    /// Valid-path step within the fragment (same rules as
-    /// [`Spine::locate`], edges beyond the fragment invisible).
-    fn step(&self, node: NodeId, pl: u32, c: Code) -> Option<NodeId> {
-        if node < self.len && self.spine.nodes()[node as usize + 1].vertebra_cl == c {
-            return Some(node + 1);
-        }
-        let rib = self.ribs(node).find(|r| r.cl == c)?;
-        if pl <= rib.pt {
-            return Some(rib.dest);
-        }
-        let prt = rib.pt;
-        let mut at = rib.dest;
-        loop {
-            let e = self.spine.nodes()[at as usize].extrib(prt).filter(|e| e.dest <= self.len)?;
-            if e.pt >= pl {
-                return Some(e.dest);
-            }
-            at = e.dest;
-        }
-    }
-
-    /// Walk the valid path for `pattern` within the fragment.
-    pub fn locate(&self, pattern: &[Code]) -> Option<NodeId> {
-        let mut node = ROOT;
-        for (pl, &c) in pattern.iter().enumerate() {
-            node = self.step(node, pl as u32, c)?;
-        }
-        Some(node)
+        self.inner.nodes()[node as usize].extribs.iter().filter(move |e| e.dest <= len)
     }
 }
 
-impl StringIndex for SpinePrefix<'_> {
-    fn alphabet(&self) -> &Alphabet {
-        self.spine.alphabet_ref()
+impl Spine {
+    /// View this index as the index of its length-`len` prefix (see
+    /// [`PrefixView`]).
+    ///
+    /// # Panics
+    /// Panics if `len > self.len()`.
+    pub fn prefix(&self, len: usize) -> PrefixView<'_, Spine> {
+        PrefixView::new(self, len)
     }
+}
 
-    fn text_len(&self) -> usize {
-        self.len as usize
+impl crate::CompactSpine {
+    /// View this compact index as the index of its length-`len` prefix
+    /// (see [`PrefixView`]).
+    pub fn prefix(&self, len: usize) -> PrefixView<'_, crate::CompactSpine> {
+        PrefixView::new(self, len)
     }
+}
 
-    fn symbol_at(&self, pos: usize) -> Code {
-        assert!(pos < self.len as usize);
-        self.spine.nodes()[pos + 1].vertebra_cl
-    }
-
-    fn find_first(&self, pattern: &[Code]) -> Option<usize> {
-        self.locate(pattern).map(|end| end as usize - pattern.len())
-    }
-
-    fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
-        if pattern.is_empty() {
-            return Vec::new();
-        }
-        let Some(first) = self.locate(pattern) else {
-            return Vec::new();
-        };
-        let plen = pattern.len() as u32;
-        let mut buffer = vec![first];
-        for j in first + 1..=self.len {
-            let node = &self.spine.nodes()[j as usize];
-            if node.lel >= plen && buffer.binary_search(&node.link).is_ok() {
-                buffer.push(j);
-            }
-        }
-        buffer.into_iter().map(|e| e as usize - pattern.len()).collect()
+impl crate::DiskSpine {
+    /// View this disk index as the index of its length-`len` prefix
+    /// (see [`PrefixView`]).
+    pub fn prefix(&self, len: usize) -> PrefixView<'_, crate::DiskSpine> {
+        PrefixView::new(self, len)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::ROOT;
+    use strindex::{Alphabet, StringIndex};
 
     #[test]
     fn fragment_is_structurally_a_fresh_build() {
@@ -169,7 +193,7 @@ mod tests {
         // "ACAA" exists in the full text but not in the prefix.
         let acaa = a.encode(b"ACAA").unwrap();
         assert!(s.contains(&acaa));
-        assert!(!p.contains(&acaa));
+        assert!(p.locate(&acaa).is_none());
     }
 
     #[test]
@@ -178,7 +202,7 @@ mod tests {
         let s = Spine::build_from_bytes(a.clone(), b"ACGT").unwrap();
         let p = s.prefix(0);
         assert!(p.is_empty());
-        assert!(!p.contains(&a.encode(b"A").unwrap()));
+        assert!(p.locate(&a.encode(b"A").unwrap()).is_none());
     }
 
     #[test]
@@ -189,96 +213,11 @@ mod tests {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Generic prefix views: the partitioning property holds for every backend.
-// ---------------------------------------------------------------------------
-
-/// A prefix view over *any* SPINE representation ([`crate::ops::SpineOps`]): the §2.7
-/// partitioning property is purely structural — every rib/extrib created
-/// while appending character `t` points to node `t`, so restricting to
-/// destinations ≤ `len` yields exactly the index of the length-`len` prefix.
-/// Works over the reference, compact, and disk layouts alike.
-pub struct PrefixView<'a, S: crate::ops::SpineOps + ?Sized> {
-    inner: &'a S,
-    len: NodeId,
-}
-
-impl<'a, S: crate::ops::SpineOps + ?Sized> PrefixView<'a, S> {
-    /// View `inner` as the index of its length-`len` prefix.
-    ///
-    /// # Panics
-    /// Panics if `len` exceeds the indexed length.
-    pub fn new(inner: &'a S, len: usize) -> Self {
-        assert!(len <= inner.text_len(), "prefix longer than the indexed text");
-        PrefixView { inner, len: len as NodeId }
-    }
-
-    /// Walk the valid path for `pattern` within the fragment.
-    pub fn locate(&self, pattern: &[Code]) -> Option<NodeId> {
-        crate::search::locate(self, pattern)
-    }
-
-    /// All occurrence start offsets of `pattern` within the prefix.
-    pub fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
-        if pattern.is_empty() {
-            return Vec::new();
-        }
-        crate::occurrences::find_all_ends(self, pattern)
-            .into_iter()
-            .map(|end| end as usize - pattern.len())
-            .collect()
-    }
-}
-
-impl<S: crate::ops::SpineOps + ?Sized> crate::ops::SpineOps for PrefixView<'_, S> {
-    fn text_len(&self) -> usize {
-        self.len as usize
-    }
-
-    fn vertebra_out(&self, node: NodeId) -> Option<Code> {
-        (node < self.len).then(|| self.inner.vertebra_out(node)).flatten()
-    }
-
-    fn link_of(&self, node: NodeId) -> (NodeId, u32) {
-        // Links always point upstream: valid in any prefix containing node.
-        self.inner.link_of(node)
-    }
-
-    fn rib_of(&self, node: NodeId, c: Code) -> Option<(NodeId, u32)> {
-        self.inner.rib_of(node, c).filter(|&(dest, _)| dest <= self.len)
-    }
-
-    fn extrib_of(&self, node: NodeId, prt: u32) -> Option<(NodeId, u32)> {
-        // Chain destinations are creation times and increase along the
-        // chain, so this filter truncates the chain to a proper prefix.
-        self.inner.extrib_of(node, prt).filter(|&(dest, _)| dest <= self.len)
-    }
-
-    fn ops_counters(&self) -> &strindex::Counters {
-        self.inner.ops_counters()
-    }
-}
-
-impl crate::CompactSpine {
-    /// View this compact index as the index of its length-`len` prefix
-    /// (see [`PrefixView`]).
-    pub fn prefix(&self, len: usize) -> PrefixView<'_, crate::CompactSpine> {
-        PrefixView::new(self, len)
-    }
-}
-
-impl crate::DiskSpine {
-    /// View this disk index as the index of its length-`len` prefix
-    /// (see [`PrefixView`]).
-    pub fn prefix(&self, len: usize) -> PrefixView<'_, crate::DiskSpine> {
-        PrefixView::new(self, len)
-    }
-}
-
 #[cfg(test)]
 mod view_tests {
     use super::*;
     use crate::CompactSpine;
+    use strindex::{Alphabet, StringIndex};
 
     #[test]
     fn compact_prefix_equals_fresh_compact_build() {

@@ -14,7 +14,7 @@
 
 use crate::build::Spine;
 use crate::node::{NodeId, ROOT};
-use crate::ops::{FallibleSpineOps, Infallible, SpineOps};
+use crate::ops::{SpineOps, INFALLIBLE_BOUNDARY};
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
 use strindex::{Alphabet, Code, PackedText, Result, StringIndex};
 
@@ -24,7 +24,7 @@ use strindex::{Alphabet, Code, PackedText, Result, StringIndex};
 /// With [`NoTrace`] (whose `ENABLED` is `false`) this monomorphizes to the
 /// untraced step.
 #[inline]
-pub fn try_step_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
+pub fn try_step_traced<S: SpineOps + ?Sized, T: TraceSink + ?Sized>(
     s: &S,
     sink: &mut T,
     node: NodeId,
@@ -75,12 +75,12 @@ pub fn try_step_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
     }
 }
 
-/// One valid-path step over a fallible structure: from `node` with current
+/// One valid-path step: from `node` with current
 /// path length `pl`, follow the edge labeled `c`. `Ok(None)` means no
 /// traversable edge exists (⇒ the extended string is not a substring);
 /// `Err` surfaces a storage failure mid-traversal.
 #[inline]
-pub fn try_step<S: FallibleSpineOps + ?Sized>(
+pub fn try_step<S: SpineOps + ?Sized>(
     s: &S,
     node: NodeId,
     pl: u32,
@@ -93,7 +93,7 @@ pub fn try_step<S: FallibleSpineOps + ?Sized>(
 /// page-resident, buffer-pool traffic is sampled around each step and
 /// emitted as [`TraceEvent::PageFetches`] (skipped entirely — including the
 /// sampling — when the sink is disabled).
-pub fn try_locate_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
+pub fn try_locate_traced<S: SpineOps + ?Sized, T: TraceSink + ?Sized>(
     s: &S,
     sink: &mut T,
     pattern: &[Code],
@@ -126,12 +126,12 @@ pub fn try_locate_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
 
 /// The word-packed valid-path walk. Vertebra runs — the only edges a
 /// backbone-label compare can take — are matched a `u64` word at a time via
-/// [`FallibleSpineOps::try_label_run`]; the first position the run cannot
+/// [`SpineOps::try_label_run`]; the first position the run cannot
 /// absorb falls back to the scalar [`try_step`], which handles the rib/
 /// extrib machinery (and its own counting). A run of `r` matches is
 /// accounted as `r` node checks + `r` edges, exactly what `r` scalar
 /// vertebra steps would record, so Table-6 counters are path-identical.
-fn try_locate_packed<S: FallibleSpineOps + ?Sized>(
+fn try_locate_packed<S: SpineOps + ?Sized>(
     s: &S,
     packed: &PackedText,
     pattern: &[Code],
@@ -162,26 +162,21 @@ fn try_locate_packed<S: FallibleSpineOps + ?Sized>(
     Ok(Some(node))
 }
 
-/// Walk the valid path for `pattern` over a fallible structure. Returns the
-/// end node of the pattern's first occurrence, `Ok(None)` if the pattern
-/// does not occur, or `Err` on a storage failure.
-pub fn try_locate<S: FallibleSpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Result<Option<NodeId>> {
+/// Walk the valid path for `pattern`. Returns the end node of the pattern's
+/// first occurrence, `Ok(None)` if the pattern does not occur, or `Err` on a
+/// storage failure.
+pub fn try_locate<S: SpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Result<Option<NodeId>> {
     try_locate_traced(s, &mut NoTrace, pattern)
-}
-
-/// One valid-path step: from `node` with current path length `pl`, follow
-/// the edge labeled `c`. Returns the destination, or `None` if no
-/// traversable edge exists (⇒ the extended string is not a substring).
-#[inline]
-pub fn step<S: SpineOps + ?Sized>(s: &S, node: NodeId, pl: u32, c: Code) -> Option<NodeId> {
-    try_step(&Infallible(s), node, pl, c).expect("in-memory SPINE ops are infallible")
 }
 
 /// Walk the valid path for `pattern`. Returns the end node — which, by the
 /// SPINE invariant, is the 1-based end position of the pattern's first
 /// occurrence — or `None` if the pattern does not occur.
+///
+/// # Panics
+/// On a storage error; [`try_locate`] returns it instead.
 pub fn locate<S: SpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Option<NodeId> {
-    try_locate(&Infallible(s), pattern).expect("in-memory SPINE ops are infallible")
+    try_locate(s, pattern).expect(INFALLIBLE_BOUNDARY)
 }
 
 impl Spine {

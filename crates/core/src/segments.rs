@@ -69,7 +69,7 @@ use crate::generalized::{DocMatch, GeneralizedSpine};
 use crate::journal::{self, JournalEvent, JournalKind, JOURNAL_FILE};
 use crate::manifest::{Manifest, SegmentEntry};
 use crate::observe::{MergeObserver, MergePhase, MergeTimes, NoMergeObserver};
-use crate::ops::{FallibleSpineOps, SpineOps};
+use crate::ops::SpineOps;
 use crate::trace::QueryTrace;
 
 const MANIFEST_FILE: &str = "MANIFEST";
@@ -1193,9 +1193,9 @@ impl ServeIndex for SegmentedSpine {
 
     fn counters_snapshot(&self) -> CountersSnapshot {
         let snap = self.snapshot();
-        let mut agg = FallibleSpineOps::ops_counters(&snap.memtable.state.read().index).snapshot();
+        let mut agg = SpineOps::ops_counters(&snap.memtable.state.read().index).snapshot();
         for seg in snap.segments.iter() {
-            agg += FallibleSpineOps::ops_counters(&seg.index).snapshot();
+            agg += SpineOps::ops_counters(&seg.index).snapshot();
         }
         agg
     }

@@ -39,7 +39,7 @@ use crate::compact::CompactSpine;
 use crate::disk::PageMap;
 use crate::generalized::GeneralizedSpine;
 use crate::node::{NodeId, ROOT};
-use crate::ops::FallibleSpineOps;
+use crate::ops::SpineOps;
 use strindex::{Alphabet, Code, FxHashMap};
 
 /// Default cap on recorded events per trace; past it, events are counted in
@@ -707,10 +707,10 @@ fn preview(ends: &[NodeId]) -> Vec<NodeId> {
     ends.iter().take(16).copied().collect()
 }
 
-/// Buffer-pool delta since `before` (a [`FallibleSpineOps::storage_counters`]
+/// Buffer-pool delta since `before` (a [`SpineOps::storage_counters`]
 /// sample), as a [`TraceEvent::PageFetches`] — `None` when the structure is
 /// not page-resident or nothing was fetched.
-pub(crate) fn page_delta_event<S: FallibleSpineOps + ?Sized>(
+pub(crate) fn page_delta_event<S: SpineOps + ?Sized>(
     s: &S,
     before: Option<(u64, u64)>,
 ) -> Option<TraceEvent> {
@@ -732,7 +732,7 @@ pub(crate) fn page_delta_event<S: FallibleSpineOps + ?Sized>(
 /// package the result. Storage failures are captured in
 /// [`QueryTrace::error`] with the partial event list retained — an aborted
 /// EXPLAIN shows exactly where the fault hit.
-pub fn explain_with_capacity<S: FallibleSpineOps + ?Sized>(
+pub fn explain_with_capacity<S: SpineOps + ?Sized>(
     s: &S,
     pattern: &[Code],
     capacity: usize,
@@ -760,7 +760,7 @@ pub fn explain_with_capacity<S: FallibleSpineOps + ?Sized>(
 }
 
 /// [`explain_with_capacity`] with the default event cap.
-pub fn explain<S: FallibleSpineOps + ?Sized>(s: &S, pattern: &[Code]) -> QueryTrace {
+pub fn explain<S: SpineOps + ?Sized>(s: &S, pattern: &[Code]) -> QueryTrace {
     explain_with_capacity(s, pattern, DEFAULT_TRACE_CAPACITY)
 }
 

@@ -1,8 +1,9 @@
 //! Concurrent query serving: one immutable SPINE index, a pool of worker
 //! threads, and an admission queue that coalesces patterns into batches
 //! (each resolved by reverse-link walks) — the deployment shape behind the
-//! paper's "integration
-//! with database engines" pitch (§6).
+//! paper's "integration with database engines" pitch (§6). Document
+//! collections are served the same way by a `SegmentedSpine` behind the
+//! same `QueryEngine`.
 //!
 //! ```sh
 //! cargo run --release --example concurrent_server
@@ -11,7 +12,8 @@
 use std::sync::Arc;
 
 use genseq::preset;
-use spine::engine::{EngineConfig, QueryEngine, ShardedEngine};
+use spine::engine::{EngineConfig, QueryEngine};
+use spine::occurrences::find_all_ends;
 use spine::telemetry::{MetricsRegistry, Stage};
 use spine::Spine;
 use strindex::Code;
@@ -50,6 +52,9 @@ fn main() {
     // Collect every answer. Results carry their pattern and all occurrence
     // positions (identical to a serial scan, in ascending order).
     let results = engine.drain();
+    for r in &results {
+        assert_eq!(r.expect_ends(), find_all_ends(index.as_ref(), &r.pattern));
+    }
     let hits: usize = results.iter().map(|r| r.expect_ends().len()).sum();
     println!("{} queries answered, {} total occurrences", results.len(), hits);
 
@@ -97,27 +102,5 @@ fn main() {
     println!("last spans:");
     for s in snap.spans.iter().rev().take(4).rev() {
         println!("  [{:>8}us +{:>6}us] {}", s.start_us, s.duration_us, s.name);
-    }
-
-    // Sharded mode: documents partitioned across generalized indexes,
-    // patterns broadcast, answers merged into global document coordinates.
-    let docs: Vec<Vec<Code>> = text.chunks(4_096).map(|c| c.to_vec()).collect();
-    let shard_cfg = EngineConfig { workers: 2, batch_max: 32, ..Default::default() };
-    let sharded = ShardedEngine::build(p.alphabet(), &docs, 3, shard_cfg).unwrap();
-    println!("\nsharded: {} documents across {} shards", docs.len(), sharded.shard_count());
-    for pat in &patterns[..3] {
-        sharded.submit(pat.clone()).unwrap();
-    }
-    for r in sharded.drain() {
-        println!(
-            "pattern of length {:>2}: {:>3} occurrences in {} documents",
-            r.pattern.len(),
-            r.expect_matches().len(),
-            {
-                let mut d: Vec<usize> = r.expect_matches().iter().map(|m| m.doc).collect();
-                d.dedup();
-                d.len()
-            }
-        );
     }
 }

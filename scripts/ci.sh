@@ -30,6 +30,12 @@ cargo test -q --workspace
 echo "== occurrence enumeration: reverse-link walk vs the paper's backbone scan (proptest)"
 cargo test -q --test differential link_walk_equals_backbone_scan
 cargo test -q -p spine --lib occurrences
+cargo test -q -p spine --lib prefix
+
+echo "== asserting examples"
+for example in quickstart pattern_search multi_string approximate_and_unique concurrent_server; do
+  cargo run --release -q --example "$example" >/dev/null
+done
 
 echo "== perfbench self-tests (runner in step with BENCHMARK.json, histogram, CO probe, checks)"
 cargo test -q --release --manifest-path perfbench/Cargo.toml

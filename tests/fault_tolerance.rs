@@ -14,14 +14,16 @@
 //!   flaky device hides the faults entirely (answers match the in-memory
 //!   oracle).
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pagestore::{FaultyDevice, FlakyDevice, Lru, MemDevice, RetryDevice, RetryPolicy};
 use spine::engine::{EngineConfig, QueryEngine, QueryOutcome, ShedPolicy, SubmitError};
-use spine::{DiskSpine, FallibleSpineOps, NodeId, Spine};
-use strindex::{Alphabet, Code, Counters, Result, StringIndex};
+use spine::occurrences::{find_all_ends, try_find_all_ends};
+use spine::{DiskSpine, NodeId, Spine, SpineOps};
+use strindex::{Alphabet, Code, Counters, Error, Result, StringIndex};
 
 fn paper_spine() -> (Alphabet, Spine) {
     let a = Alphabet::dna();
@@ -85,9 +87,9 @@ struct GatedSpine {
     gate: Arc<Gate>,
 }
 
-impl FallibleSpineOps for GatedSpine {
+impl SpineOps for GatedSpine {
     fn text_len(&self) -> usize {
-        FallibleSpineOps::text_len(&self.inner)
+        SpineOps::text_len(&self.inner)
     }
 
     fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
@@ -108,7 +110,7 @@ impl FallibleSpineOps for GatedSpine {
     }
 
     fn ops_counters(&self) -> &Counters {
-        FallibleSpineOps::ops_counters(&self.inner)
+        self.inner.ops_counters()
     }
 }
 
@@ -195,9 +197,9 @@ struct PanicOnce {
     armed: AtomicBool,
 }
 
-impl FallibleSpineOps for PanicOnce {
+impl SpineOps for PanicOnce {
     fn text_len(&self) -> usize {
-        FallibleSpineOps::text_len(&self.inner)
+        SpineOps::text_len(&self.inner)
     }
 
     fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
@@ -220,7 +222,7 @@ impl FallibleSpineOps for PanicOnce {
     }
 
     fn ops_counters(&self) -> &Counters {
-        FallibleSpineOps::ops_counters(&self.inner)
+        self.inner.ops_counters()
     }
 }
 
@@ -302,22 +304,24 @@ fn disk_workload() -> (Alphabet, Vec<Code>, Vec<Vec<Code>>) {
     (a, text, patterns)
 }
 
+/// A 1-frame `DiskSpine` over `text` whose device dies right after the
+/// build: the first query that misses the pool hits the dead device.
+fn dead_after_build(a: &Alphabet, text: &[Code]) -> DiskSpine {
+    let clean =
+        DiskSpine::build(a.clone(), text, Box::new(MemDevice::new()), 1, Box::<Lru>::default())
+            .unwrap();
+    let (r, w) = clean.io_counts();
+    let faulty = FaultyDevice::new(MemDevice::new(), r + w);
+    DiskSpine::build(a.clone(), text, Box::new(faulty), 1, Box::<Lru>::default()).unwrap()
+}
+
 /// A hard device fault mid-service degrades the affected queries to
 /// `Failed` — the engine neither panics nor hangs, and the accounting
 /// invariant still holds.
 #[test]
 fn engine_over_disk_spine_degrades_on_hard_fault() {
     let (a, text, patterns) = disk_workload();
-    // Budget exactly the clean build: the first query that misses the
-    // 1-frame pool then hits the dead device.
-    let clean =
-        DiskSpine::build(a.clone(), &text, Box::new(MemDevice::new()), 1, Box::<Lru>::default())
-            .unwrap();
-    let (r, w) = clean.io_counts();
-    let build_budget = r + w;
-
-    let faulty = FaultyDevice::new(MemDevice::new(), build_budget);
-    let disk = DiskSpine::build(a, &text, Box::new(faulty), 1, Box::<Lru>::default()).unwrap();
+    let disk = dead_after_build(&a, &text);
     let engine = QueryEngine::new(
         Arc::new(disk),
         EngineConfig { workers: 2, batch_max: 4, ..Default::default() },
@@ -366,4 +370,29 @@ fn engine_over_retry_wrapped_flaky_disk_matches_oracle() {
     assert_eq!(m.completed, patterns.len() as u64);
     assert_eq!(m.failed, 0);
     assert_eq!(m.accounted(), m.submitted);
+}
+
+/// The infallible boundary: over a dead device the `try_` entry point
+/// returns the typed I/O error, while the infallible sugar on the same index
+/// (one traversal, with `expect` on top) panics naming the `try_` surface.
+#[test]
+fn infallible_sugar_panics_where_try_surface_returns_err() {
+    let (a, text, _) = disk_workload();
+    let disk = dead_after_build(&a, &text);
+    // A hit: its backbone scan must page through the whole 1-frame pool.
+    let ca = a.encode(b"CA").unwrap();
+
+    let err = try_find_all_ends(&disk, &ca).unwrap_err();
+    assert!(matches!(err, Error::Io { ctx: Some(_), .. }), "typed I/O error, got {err:?}");
+
+    let sugar: [&dyn Fn(); 2] =
+        [&|| drop(find_all_ends(&disk, &ca)), &|| drop(StringIndex::find_all(&disk, &ca))];
+    for call in sugar {
+        let payload = catch_unwind(AssertUnwindSafe(call)).expect_err("a dead device must panic");
+        let msg = payload.downcast_ref::<String>().expect("expect() panics with a String");
+        assert!(
+            msg.contains("infallible traversal") && msg.contains("use the try_* surface"),
+            "panic must name the try_ surface: {msg}"
+        );
+    }
 }
