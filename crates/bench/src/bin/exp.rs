@@ -447,9 +447,12 @@ fn pool_pages(n_chars: usize, record_size: usize) -> usize {
 /// Approximate record sizes of the generic disk layouts (DNA).
 const SPINE_REC: usize = 80;
 const ST_REC: usize = 50;
-/// Approximate per-node footprint of the sealed layout-v2 pages (varint
-/// records plus the packed label store, DNA); used only to size buffer
-/// pools at the same *relative* memory pressure as the v1 runs.
+/// Per-node footprint of the sealed pages (varint records plus the packed
+/// label store, DNA) as of format v2; used only to size buffer pools at the
+/// same *relative* memory pressure as the v1 runs. Format v3 records also
+/// carry reverse-link children (≈ 14 B/node); the constant stays at the v2
+/// figure so pool sizes, and the page counts measured under them, remain
+/// comparable across format versions.
 const SPINE_V2_REC: usize = 9;
 
 // ---------------------------------------------------------------------------
@@ -1594,7 +1597,7 @@ fn bench_snapshot(opts: &Opts) {
             &hot,
         )
         .unwrap();
-    assert!(disk.is_sealed(), "bench disk phase must serve from the v2 layout");
+    assert!(disk.is_sealed(), "bench disk phase must serve from the sealed layout");
     let pinned = disk.pin_hot(&hot, (pool / 4).max(1)).unwrap();
     disk.attach_telemetry(&registry);
 
@@ -1762,9 +1765,9 @@ fn build_snapshot_section(d: &Dataset, dd: &Dataset, pool: usize) -> spine_bench
     eprintln!("build[summary]:  {}", stats.summary());
 
     // Disk build: page writes through the device, spills reconciled. The
-    // mutable build then seals into the layout-v2 pages; `page_writes` is
-    // the full pipeline (scratch build + seal) and `bytes_per_node` is the
-    // *sealed on-disk* footprint — the number layout v2 exists to shrink.
+    // mutable build then seals into the sealed pages; `page_writes` is the
+    // full pipeline (mutable build + seal) and `bytes_per_node` is the
+    // *sealed on-disk* footprint, reverse-link children included.
     let (dsk, dstats) = DiskSpine::build_with_stats(
         dd.alphabet.clone(),
         &dd.seq,
@@ -1783,7 +1786,7 @@ fn build_snapshot_section(d: &Dataset, dd: &Dataset, pool: usize) -> spine_bench
     let file_pages = sealed.file_pages().expect("sealed index has a page count");
     let disk_bytes_per_node = (file_pages * PAGE_SIZE as u64) as f64 / (dd.seq.len() as f64 + 1.0);
     eprintln!(
-        "seal[summary]:   {} v1 scratch writes + {} v2 seal writes; {} v2 pages, \
+        "seal[summary]:   {} v1 build writes + {} sealed writes; {} sealed pages, \
          {:.2} on-disk bytes/node (heap bytes/node {:.2})",
         build_writes,
         seal_writes,

@@ -77,7 +77,7 @@ pub struct SweepReport {
     pub burst_oracle_match: bool,
     /// Probabilistic-fault run matched the in-memory oracle exactly.
     pub probability_oracle_match: bool,
-    /// Device operations in one clean seal-to-layout-v2 rebuild — the size
+    /// Device operations in one clean seal of a mutable index — the size
     /// of the seal crashpoint index space.
     pub seal_ops: u64,
     /// Seal crashpoints that degraded to a clean `Err`.
@@ -239,8 +239,8 @@ pub fn crashpoint_sweep(quick: bool) -> SweepReport {
         Err(_) => report.probability_oracle_match = false,
     }
 
-    // ---- pass 3: crashpoints during the seal-to-layout-v2 rebuild ----------
-    // The format-v2 migration path: build the mutable (v1) index once on a
+    // ---- pass 3: crashpoints during the seal of a mutable index -------------
+    // The migration path to the sealed format: build the mutable (v1) index once on a
     // clean device, then crash the *target* device at every (strided)
     // operation index during `seal_to`. Each crash must surface as a clean
     // `Err`, must leave the source index answering queries (the committed

@@ -179,7 +179,7 @@ pub const NPS_FLOOR: f64 = 0.8;
 /// fails.
 pub const BUILD_COST_CEIL: f64 = 1.2;
 /// Sealed on-disk bytes/node may grow only to this multiple of the
-/// baseline: the layout-v2 footprint is deterministic for a given text
+/// baseline: the sealed footprint is deterministic for a given text
 /// (no timing noise), so the space gate is much tighter than the
 /// throughput gates.
 pub const BUILD_SPACE_CEIL: f64 = 1.05;
@@ -198,13 +198,14 @@ pub struct BuildSnapshot {
     /// Median observed-build wall time vs `build_s`, percent. Reported but
     /// not gated: single-digit scheduler noise would flap the gate.
     pub observer_overhead_pct: f64,
-    /// On-disk bytes per node of the sealed layout-v2 index (file pages ×
-    /// page size over backbone nodes) — the figure the varint/packed page
-    /// format exists to shrink. Earlier baselines recorded the in-memory
-    /// heap figure here; re-baseline when comparing across that change.
+    /// On-disk bytes per node of the sealed index (file pages × page size
+    /// over backbone nodes) — the figure the varint/packed page format
+    /// exists to shrink, reverse-link children included since format v3.
+    /// Earlier baselines recorded the in-memory heap figure here;
+    /// re-baseline when comparing across that change.
     pub bytes_per_node: f64,
     /// Device page writes across the full disk pipeline: the mutable
-    /// scratch build plus the seal into layout-v2 pages.
+    /// build plus the seal into sealed pages.
     pub page_writes: u64,
 }
 

@@ -26,7 +26,6 @@
 
 use crate::node::{Extrib, Node, NodeId, Rib, ROOT};
 use crate::observe::{BuildEvent, BuildObserver, BuildPhase, BuildStats, MemBreakdown};
-use crate::ops::LinkChildren;
 use strindex::{Alphabet, Code, Counters, Error, OnlineIndex, PackedText, Result};
 
 /// The reference SPINE index: explicit nodes and edges in memory.
@@ -365,8 +364,25 @@ impl crate::ops::SpineOps for Spine {
         &self.counters
     }
 
-    fn link_children(&self) -> Option<LinkChildren<'_>> {
-        Some(LinkChildren::new(&self.nodes, &self.next_sibling))
+    fn keeps_link_children(&self) -> bool {
+        true
+    }
+
+    /// Follows the list threaded through [`Node::first_child`] and
+    /// `next_sibling`, newest child first. With `min_lel == 0` no child
+    /// node is read.
+    #[inline]
+    fn try_link_children(&self, node: NodeId, min_lel: u32, out: &mut Vec<NodeId>) -> Result<u64> {
+        let mut visits = 0;
+        let mut c = self.nodes[node as usize].first_child;
+        while c != ROOT {
+            visits += 1;
+            if min_lel == 0 || self.nodes[c as usize].lel >= min_lel {
+                out.push(c);
+            }
+            c = self.next_sibling[c as usize];
+        }
+        Ok(visits)
     }
 
     fn backbone_packing(&self) -> Option<u32> {
@@ -545,10 +561,12 @@ mod tests {
         let a = Alphabet::dna();
         for text in [&b""[..], b"A", b"AAAA", b"AACCACAACA", b"ACGTACGGTACGTTTACGACG"] {
             let s = Spine::build_from_bytes(a.clone(), text).unwrap();
-            let lists = s.link_children().unwrap();
+            assert!(s.keeps_link_children());
             let mut seen = 0;
             for k in 0..s.nodes().len() as NodeId {
-                let kids: Vec<NodeId> = lists.children(k).collect();
+                let mut kids = Vec::new();
+                let visits = s.try_link_children(k, 0, &mut kids).unwrap();
+                assert_eq!(visits, kids.len() as u64);
                 let expect: Vec<NodeId> = (1..s.nodes().len() as NodeId)
                     .rev()
                     .filter(|&c| s.nodes()[c as usize].link == k)
@@ -560,8 +578,14 @@ mod tests {
         }
         // Node 1's root link is implicit in construction; it is listed too.
         let s = Spine::build_from_bytes(a, b"CA").unwrap();
-        let lists = s.link_children().unwrap();
-        assert_eq!(lists.children(ROOT).collect::<Vec<_>>(), vec![2, 1]);
+        let mut kids = Vec::new();
+        s.try_link_children(ROOT, 0, &mut kids).unwrap();
+        assert_eq!(kids, vec![2, 1]);
+        // A LEL bound filters the children it examines.
+        let s = Spine::build_from_bytes(Alphabet::dna(), b"AACCACAACA").unwrap();
+        let mut kids = Vec::new();
+        assert_eq!(s.try_link_children(7, 3, &mut kids).unwrap(), 1);
+        assert_eq!(kids, vec![10]);
     }
 
     #[test]

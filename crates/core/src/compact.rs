@@ -19,7 +19,14 @@
 //!   RT holding its edges; when a node gains an edge it *migrates* to the
 //!   next table (the free slot it leaves is recycled through a free list —
 //!   the paper claims this movement cost is negligible, and the ablation
-//!   bench measures it).
+//!   bench measures it). The alphabet bounds a node's ribs but not its
+//!   extribs, so the largest table starts at the full rib complement
+//!   (separator included) plus four extrib slots and widens every row by
+//!   a slot when some node outgrows it.
+//!
+//! Slot kinds are `u16`, so every built-in alphabet — raw bytes included —
+//! fits below the slot markers. A sealed [`crate::DiskSpine`] is always
+//! written from this layout (DESIGN §11).
 //!
 //! Construction is online and identical in logic to [`crate::build`]; the
 //! two representations are checked edge-for-edge against each other by the
@@ -37,9 +44,10 @@ use strindex::{
 /// In-slot sentinel meaning "the true value lives in the overflow table".
 const LABEL_OVERFLOW: u16 = u16::MAX;
 /// Slot-kind marker: unused slot.
-const SLOT_EMPTY: u8 = 0xFF;
-/// Slot-kind marker: extrib slot (PRT field valid).
-const SLOT_EXTRIB: u8 = 0xFE;
+const SLOT_EMPTY: u16 = 0xFFFF;
+/// Slot-kind marker: extrib slot (PRT field valid). Symbol codes are `u8`,
+/// so no rib label can collide with either marker.
+const SLOT_EXTRIB: u16 = 0xFFFE;
 
 /// LT pointer tag: bit 31 set ⇒ the entry points into a Rib Table.
 const PTR_TAG: u32 = 1 << 31;
@@ -101,11 +109,11 @@ impl PackedChars {
     }
 }
 
-/// One downstream-edge slot of a Rib Table row.
+/// One downstream-edge slot of a Rib Table row (12 bytes).
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     /// Character label for ribs; [`SLOT_EXTRIB`] / [`SLOT_EMPTY`] markers.
-    kind: u8,
+    kind: u16,
     /// Destination node.
     rd: u32,
     /// Pathlength threshold ([`LABEL_OVERFLOW`] ⇒ overflow table).
@@ -140,6 +148,19 @@ impl RtTable {
             self.slots.resize(self.slots.len() + self.cap, EMPTY_SLOT);
             (self.rows.len() - 1) as u32
         }
+    }
+
+    /// Give every row one more slot. Only the largest class widens, when
+    /// a node's fan-out outgrows it; slot positions within a row are kept,
+    /// so the overflow-table keys stay valid.
+    fn widen(&mut self) {
+        let cap = self.cap + 1;
+        let mut slots = vec![EMPTY_SLOT; self.rows.len() * cap];
+        for (r, row) in self.slots.chunks_exact(self.cap).enumerate() {
+            slots[r * cap..r * cap + self.cap].copy_from_slice(row);
+        }
+        self.cap = cap;
+        self.slots = slots;
     }
 
     fn release(&mut self, i: u32) {
@@ -191,13 +212,14 @@ pub struct CompactSpine {
     /// Link Table, pointer column: untagged link destination, or tagged
     /// Rib-Table reference.
     ptrs: Vec<u32>,
-    /// Rib tables by fan-out class (RT1..RT4; the last class is sized for
-    /// the alphabet's full edge complement plus extrib slack).
+    /// Rib tables by fan-out class (RT1..RT4; the last class starts at the
+    /// alphabet's full rib complement plus extrib slack and widens when a
+    /// node outgrows it).
     rts: Vec<RtTable>,
     /// Overflow for LEL values ≥ 2¹⁶−1, keyed by node.
     lel_overflow: FxHashMap<u32, u32>,
     /// Overflow for slot PT/PRT values, keyed by (node, slot position).
-    slot_overflow: FxHashMap<(u32, u8), (u32, u32)>,
+    slot_overflow: FxHashMap<(u32, u16), (u32, u32)>,
     stats: CompactStats,
     counters: Counters,
     /// Word-packed shadow of `chars` at `alphabet.pack_bits()` (2-bit DNA /
@@ -209,16 +231,12 @@ pub struct CompactSpine {
 impl CompactSpine {
     /// An empty compact index over `alphabet`.
     pub fn new(alphabet: Alphabet) -> Self {
-        // Slot kinds 0xFE/0xFF are markers, so symbol codes must stay below
-        // 0xFE (every built-in alphabet except raw bytes qualifies).
-        assert!(
-            alphabet.code_space() < SLOT_EXTRIB as usize,
-            "compact layout supports alphabets up to 253 symbols"
-        );
         let bits = alphabet.label_bits();
-        // RT classes 1..=3 as in the paper; the final class holds the full
-        // complement: up to size−1 ribs plus room for extrib chains.
-        let max_cap = (alphabet.size() - 1) + 4;
+        // RT classes 1..=3 as in the paper; the final class starts with the
+        // full rib complement (one rib per code but the vertebra's, the
+        // separator included) plus four extrib slots, and widens past that
+        // (`push_slot`).
+        let max_cap = (alphabet.code_space() - 1) + 4;
         let caps: Vec<usize> = (1..=3).chain([max_cap.max(4)]).collect();
         let alphabet_packing = alphabet.pack_bits().map(PackedText::new);
         CompactSpine {
@@ -369,7 +387,7 @@ impl CompactSpine {
 
     // ----- label helpers ---------------------------------------------------
 
-    fn lel_value(&self, node: u32) -> u32 {
+    pub(crate) fn lel_value(&self, node: u32) -> u32 {
         let raw = self.lels[node as usize];
         if raw == LABEL_OVERFLOW {
             self.lel_overflow[&node]
@@ -389,7 +407,7 @@ impl CompactSpine {
     }
 
     /// Resolve a slot's (pt, prt), consulting the overflow table.
-    fn slot_labels(&self, node: u32, slot_idx: u8, s: &Slot) -> (u32, u32) {
+    fn slot_labels(&self, node: u32, slot_idx: u16, s: &Slot) -> (u32, u32) {
         if s.pt == LABEL_OVERFLOW || (s.kind == SLOT_EXTRIB && s.prt == LABEL_OVERFLOW) {
             self.slot_overflow[&(node, slot_idx)]
         } else {
@@ -404,7 +422,7 @@ impl CompactSpine {
         (p & PTR_TAG != 0).then_some((((p >> CLASS_SHIFT) & 0x3) as usize, p & IDX_MASK))
     }
 
-    fn link_dest(&self, node: u32) -> u32 {
+    pub(crate) fn link_dest(&self, node: u32) -> u32 {
         match self.rt_ref(node) {
             Some((class, idx)) => self.rts[class].rows[idx as usize].1,
             None => self.ptrs[node as usize],
@@ -425,8 +443,9 @@ impl CompactSpine {
     }
 
     /// Append a downstream-edge slot to `node`, migrating its row to a
-    /// larger Rib Table when full. Returns the slot's stable position.
-    fn push_slot(&mut self, node: u32, slot: Slot) -> u8 {
+    /// larger Rib Table when full (or widening the largest one). Returns
+    /// the slot's stable position.
+    fn push_slot(&mut self, node: u32, slot: Slot) -> u16 {
         match self.rt_ref(node) {
             None => {
                 // First edge: move the link destination into a fresh RT1 row.
@@ -440,19 +459,18 @@ impl CompactSpine {
             }
             Some((class, idx)) => {
                 let used = self.rts[class].rows[idx as usize].2 as usize;
+                let next = class + 1;
+                if used == self.rts[class].cap && next == self.rts.len() {
+                    self.rts[class].widen();
+                }
                 if used < self.rts[class].cap {
                     let base = idx as usize * self.rts[class].cap;
                     self.rts[class].slots[base + used] = slot;
                     self.rts[class].rows[idx as usize].2 = (used + 1) as u16;
-                    used as u8
+                    used as u16
                 } else {
                     // Migrate to the next class (slot order preserved so the
                     // overflow-table keys stay valid).
-                    let next = class + 1;
-                    assert!(
-                        next < self.rts.len(),
-                        "node fan-out exceeded the largest rib-table class"
-                    );
                     let (_, ld, _) = self.rts[class].rows[idx as usize];
                     let nidx = self.rts[next].alloc(node, ld);
                     let src = idx as usize * self.rts[class].cap;
@@ -465,7 +483,7 @@ impl CompactSpine {
                     self.rts[class].release(idx);
                     self.ptrs[node as usize] = PTR_TAG | ((next as u32) << CLASS_SHIFT) | nidx;
                     self.stats.migrations += 1;
-                    used as u8
+                    used as u16
                 }
             }
         }
@@ -479,7 +497,7 @@ impl CompactSpine {
 
     fn add_rib(&mut self, node: u32, c: Code, dest: u32, pt: u32) {
         let stored_pt = if pt >= LABEL_OVERFLOW as u32 { LABEL_OVERFLOW } else { pt as u16 };
-        let slot = Slot { kind: c, rd: dest, pt: stored_pt, prt: 0 };
+        let slot = Slot { kind: c as u16, rd: dest, pt: stored_pt, prt: 0 };
         let pos = self.push_slot(node, slot);
         if stored_pt == LABEL_OVERFLOW {
             self.slot_overflow.insert((node, pos), (pt, 0));
@@ -657,6 +675,25 @@ impl CompactSpine {
         (lt + chars + rt + overflow) / n
     }
 
+    /// `node`'s downstream edges in slot (creation) order with their labels
+    /// resolved, into the sealed record's field order: ribs as
+    /// `(cl, dest, pt)`, extribs as `(prt, pt, dest)`.
+    pub(crate) fn edges_into(
+        &self,
+        node: u32,
+        ribs: &mut Vec<(Code, u32, u32)>,
+        extribs: &mut Vec<(u32, u32, u32)>,
+    ) {
+        for (i, s) in self.slots_of(node).iter().enumerate() {
+            let (pt, prt) = self.slot_labels(node, i as u16, s);
+            if s.kind == SLOT_EXTRIB {
+                extribs.push((prt, pt, s.rd));
+            } else {
+                ribs.push((s.kind as Code, s.rd, pt));
+            }
+        }
+    }
+
     /// Live rows per Rib-Table class (diagnostics / Table 4 cross-check).
     pub fn rt_occupancy(&self) -> Vec<usize> {
         self.rts.iter().map(RtTable::live_rows).collect()
@@ -681,8 +718,8 @@ impl SpineOps for CompactSpine {
     #[inline]
     fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
         for (i, s) in self.slots_of(node).iter().enumerate() {
-            if s.kind == c {
-                let (pt, _) = self.slot_labels(node, i as u8, s);
+            if s.kind == c as u16 {
+                let (pt, _) = self.slot_labels(node, i as u16, s);
                 return Ok(Some((s.rd, pt)));
             }
         }
@@ -693,7 +730,7 @@ impl SpineOps for CompactSpine {
     fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
         for (i, s) in self.slots_of(node).iter().enumerate() {
             if s.kind == SLOT_EXTRIB {
-                let (pt, sprt) = self.slot_labels(node, i as u8, s);
+                let (pt, sprt) = self.slot_labels(node, i as u16, s);
                 if sprt == prt {
                     return Ok(Some((s.rd, pt)));
                 }
@@ -788,6 +825,10 @@ mod tests {
     fn assert_equivalent(r: &Spine, c: &CompactSpine, a: &Alphabet) {
         assert_eq!(SpineOps::text_len(r), SpineOps::text_len(c));
         for node in 0..=r.len() as u32 {
+            let (mut ribs, mut extribs) = (Vec::new(), Vec::new());
+            c.edges_into(node, &mut ribs, &mut extribs);
+            let n = &r.nodes()[node as usize];
+            assert_eq!((ribs.len(), extribs.len()), (n.ribs.len(), n.extribs.len()), "{node}");
             assert_eq!(r.vertebra_out(node), c.vertebra_out(node), "vertebra at {node}");
             if node != ROOT {
                 assert_eq!(r.link_of(node), c.link_of(node), "link at {node}");
@@ -871,6 +912,44 @@ mod tests {
     }
 
     #[test]
+    fn wide_nodes_build_edge_for_edge() {
+        // Shrunk from a 16 Ki order-3 Markov DNA document: one node gains
+        // 3 ribs and 5 extribs, a slot more than a largest class sized
+        // without the separator rib holds. Then a skewed text whose widest
+        // node needs 10 slots: the largest class widens instead of
+        // panicking.
+        for (text, widest) in [
+            (&b"ATCTTTTTTGCTTTTTGTCTTGCTTTGATGGCTTTTG"[..], 8),
+            (b"GTTTTTTTTTAAGTTTAGTTTTTTAGTAGTTTTTTTTAGTTTTAGTTACGTTTTTTTAT", 10),
+        ] {
+            let (a, r, c) = both(text);
+            assert_equivalent(&r, &c, &a);
+            let w = r.nodes().iter().map(|n| n.ribs.len() + n.extribs.len()).max().unwrap();
+            assert_eq!(w, widest);
+            assert_eq!(c.rts[3].cap, widest.max(a.code_space() - 1 + 4));
+        }
+    }
+
+    #[test]
+    fn byte_alphabet_builds_and_answers() {
+        // Slot kinds are `u16`, so every code of the raw-byte alphabet
+        // (separator 254 included) is a rib label below the markers.
+        let a = Alphabet::bytes();
+        let mut codes = a.encode(b"mississippi missouri mississippi").unwrap();
+        codes.push(a.separator());
+        codes.extend((0..=253).rev());
+        codes.extend(a.encode(b"mississippi").unwrap());
+        let r = Spine::build(a.clone(), &codes).unwrap();
+        let c = CompactSpine::build(a.clone(), &codes).unwrap();
+        assert_equivalent(&r, &c, &a);
+        for p in [&b"ssi"[..], b"issi", b"mis", b"ri m"] {
+            let p = a.encode(p).unwrap();
+            assert_eq!(StringIndex::find_all(&r, &p), StringIndex::find_all(&c, &p));
+        }
+        assert_eq!(std::mem::size_of::<Slot>(), 12);
+    }
+
+    #[test]
     fn migration_happens_and_is_counted() {
         // A string whose nodes accumulate several downstream edges forces
         // RT1→RT2 (and deeper) migrations.
@@ -937,7 +1016,9 @@ mod persist {
     use strindex::AlphabetKind;
 
     const MAGIC: &[u8; 4] = b"SPNC";
-    const VERSION: u16 = 1;
+    /// Version 2 widened slot kinds and overflow slot positions to `u16`
+    /// (raw-byte alphabets); version-1 streams are rejected.
+    const VERSION: u16 = 2;
 
     fn w_u16<W: Write>(w: &mut W, v: u16) -> Result<()> {
         w.write_all(&v.to_le_bytes()).map_err(Into::into)
@@ -989,7 +1070,7 @@ mod persist {
     }
 
     impl CompactSpine {
-        /// Serialize the index to `w` (format `SPNC`, version 1).
+        /// Serialize the index to `w` (format `SPNC`, version 2).
         pub fn write_to<W: Write>(&self, w: &mut W) -> Result<()> {
             w.write_all(MAGIC)?;
             w_u16(w, VERSION)?;
@@ -1019,7 +1100,7 @@ mod persist {
                     w_u16(w, used)?;
                 }
                 for s in &t.slots {
-                    w.write_all(&[s.kind])?;
+                    w_u16(w, s.kind)?;
                     w_u32(w, s.rd)?;
                     w_u16(w, s.pt)?;
                     w_u16(w, s.prt)?;
@@ -1042,7 +1123,7 @@ mod persist {
             w_u64(w, slot_over.len() as u64)?;
             for (&(node, pos), &(pt, prt)) in slot_over {
                 w_u32(w, node)?;
-                w.write_all(&[pos])?;
+                w_u16(w, pos)?;
                 w_u32(w, pt)?;
                 w_u32(w, prt)?;
             }
@@ -1086,7 +1167,7 @@ mod persist {
                     t.rows.push((node, ld, used));
                 }
                 for _ in 0..rows_len * cap {
-                    let kind = r_u8(r)?;
+                    let kind = r_u16(r)?;
                     let rd = r_u32(r)?;
                     let pt = r_u16(r)?;
                     let prt = r_u16(r)?;
@@ -1105,7 +1186,7 @@ mod persist {
             let mut slot_overflow = FxHashMap::default();
             for _ in 0..r_u64(r)? {
                 let node = r_u32(r)?;
-                let pos = r_u8(r)?;
+                let pos = r_u16(r)?;
                 let pt = r_u32(r)?;
                 let prt = r_u32(r)?;
                 slot_overflow.insert((node, pos), (pt, prt));
@@ -1177,6 +1258,20 @@ mod persist_tests {
         // Serialization is deterministic and stable across a round trip.
         let mut b1 = Vec::new();
         let mut b2 = Vec::new();
+        c.write_to(&mut b1).unwrap();
+        d.write_to(&mut b2).unwrap();
+        assert_eq!(b1, b2);
+    }
+
+    #[test]
+    fn round_trips_bytes_and_widened_classes() {
+        let a = Alphabet::bytes();
+        let mut codes: Vec<Code> = (0..=254).collect();
+        codes.extend(a.encode(b"ATCTTTTTTGCTTTTTGTCTTGCTTTGATGGCTTTTG").unwrap());
+        let c = CompactSpine::build(a, &codes).unwrap();
+        let d = round_trip(&c);
+        assert_eq!(d.recover_text(), c.recover_text());
+        let (mut b1, mut b2) = (Vec::new(), Vec::new());
         c.write_to(&mut b1).unwrap();
         d.write_to(&mut b2).unwrap();
         assert_eq!(b1, b2);

@@ -17,32 +17,40 @@
 //!   (more spill to an in-memory side table, counted in
 //!   [`DiskSpine::spill_count`]). It supports APPEND but pays for the
 //!   worst-case fan-out on every node.
-//! * **Sealed format-v2 layout** ([`DiskSpine::seal_to`]) — a read-only
-//!   page format with varint/delta-encoded node records in slotted pages
-//!   ([`pagestore::slotted`]) plus backbone labels packed bit-tight into
-//!   `u64` words on dedicated label pages. Records shrink by ~10× for DNA,
-//!   so a fixed pool covers far more nodes and queries touch fewer pages.
-//!   When every label fits the alphabet's packing width
-//!   ([`strindex::Alphabet::pack_bits`]), backbone label runs are compared
-//!   a whole word at a time ([`SpineOps::try_label_run`]).
+//! * **Sealed layout** (format v3, [`DiskSpine::build_sealed`],
+//!   [`DiskSpine::seal_to`]) — a read-only page format with varint/delta
+//!   node records in slotted pages ([`pagestore::slotted`]) plus backbone
+//!   labels packed bit-tight into `u64` words on dedicated label pages.
+//!   Records shrink by ~6× for DNA, so a fixed pool covers far more nodes
+//!   and queries touch fewer pages. When every label fits the alphabet's
+//!   packing width ([`strindex::Alphabet::pack_bits`]), backbone label runs
+//!   are compared a whole word at a time ([`SpineOps::try_label_run`]).
+//!   Each record also stores its node's reverse-link children, so
+//!   occurrence enumeration walks the link subtree
+//!   ([`crate::occurrences`]) and reads one record per occurrence instead
+//!   of scanning the backbone. Every seal is built from the paper's §5
+//!   compact layout ([`crate::CompactSpine`]) of the text: one seal
+//!   source, whatever the caller holds.
 //!
-//! Every sealed page carries a format-version header; readers check it on
-//! each access and surface [`strindex::Error::FormatVersion`] ("rebuild
-//! required") instead of misparsing, and [`DiskSpine::reopen`] rejects v1
-//! sidecars the same way. All query algorithms are the shared generic ones
+//! The mutable layout keeps the paper's backbone scan. Every sealed page
+//! carries a format-version header; readers check it on each access and
+//! surface [`strindex::Error::FormatVersion`] ("rebuild required") instead
+//! of misparsing, and [`DiskSpine::reopen`] rejects v1 and v2 artifacts the
+//! same way. All query algorithms are the shared generic ones
 //! ([`crate::ops`]); `SpineOps` takes `&self`, so the store lives behind a
 //! mutex.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
+use crate::compact::CompactSpine;
 use crate::hot::HotSet;
 use crate::node::{NodeId, ROOT};
 use crate::observe::{BuildEvent, BuildObserver, BuildPhase, BuildStats, MemBreakdown};
 use crate::ops::{SpineOps, INFALLIBLE_BOUNDARY};
 use pagestore::{
-    slotted, slotted_record, BufferPool, CacheStats, CacheStatsSnapshot, EvictionPolicy, Lru,
-    MemDevice, PageDevice, PageHeader, PagedVec, SlottedPageBuilder, PAGE_FORMAT_V2, PAGE_SIZE,
+    slotted, slotted_record, BufferPool, CacheStats, CacheStatsSnapshot, EvictionPolicy,
+    PageDevice, PageHeader, PagedVec, SlottedPageBuilder, PAGE_FORMAT_V2, PAGE_SIZE,
 };
 use parking_lot::Mutex;
 use strindex::telemetry::{Counter, Histogram, MetricsRegistry};
@@ -58,21 +66,24 @@ const EXTRIB_SLOTS: usize = 2;
 /// Spilled extribs of one node: `(prt, pt, dest)` triples.
 type SpillEntry = Vec<(u32, u32, u32)>;
 
-/// Magic stamped into page 0 of a sealed device.
+/// Magic stamped into page 0 of a sealed device (every sealed format
+/// version; the version field beside it tells them apart).
 const SEALED_MAGIC: &[u8; 4] = b"SPV2";
 
 /// On-disk format version this build writes (and the only one it reads).
-/// Version-1 artifacts (the fixed-record layout) are build-time only now;
-/// reopening one yields [`Error::FormatVersion`] — "rebuild required".
-pub const DISK_FORMAT_VERSION: u16 = 2;
+/// Version 1 is the fixed-record layout (build-time only now); version 2
+/// is the sealed layout without reverse-link children. Reopening either
+/// yields [`Error::FormatVersion`] — "rebuild required".
+pub const DISK_FORMAT_VERSION: u16 = 3;
 
 /// Packed 64-bit label words per label page (after the page header).
 const WORDS_PER_PAGE: usize = (PAGE_SIZE - slotted::PAGE_HEADER_LEN) / 8;
 
 /// Sequential read-ahead depth while a backbone scan is active: on a
 /// demand miss the pool pulls this many following pages in the same trip
-/// ([`BufferPool::set_read_ahead`]). Sealed pools only — the occurrence
-/// scan of §4 strides node pages in order, so the next pages are known.
+/// ([`BufferPool::set_read_ahead`]). Sealed pools only — the backbone scan
+/// of §4 ([`crate::occurrences::backbone_scan_ends`]) strides node pages in
+/// order, so the next pages are known; the link walk sends no scan hint.
 const SCAN_READ_AHEAD: usize = 4;
 
 /// Byte offsets within a *mutable-layout* node record (little-endian):
@@ -140,49 +151,58 @@ fn alphabet_from_tag(t: u8) -> Result<Alphabet> {
 }
 
 // ---------------------------------------------------------------------------
-// Format-v2 node record codec.
+// Sealed node record codec.
 // ---------------------------------------------------------------------------
 
-/// The varint/delta node record of format v2.
+/// The varint/delta node record of the sealed layout (format v3).
 ///
 /// ```text
 /// link.dest varint | link.lel varint
 /// rib_count varint | ribs: (cl 1B, dest−node varint, pt varint)…
 /// ext_count varint | extribs: (prt varint, pt varint, dest−node varint)…
+/// kid_count varint | children: (child−prev varint, lel varint)…
 /// ```
 ///
-/// Destinations are stored relative to the owning node: APPEND only ever
-/// creates ribs/extribs pointing at the freshly appended tail node, so
-/// `dest > node` always holds and deltas stay small. The decoder treats any
-/// malformed input as [`Error::Parse`] — corrupt-page defense, never a
-/// panic or a garbage answer.
-mod v2 {
+/// Rib and extrib destinations are stored relative to the owning node:
+/// APPEND only ever creates ribs/extribs pointing at the freshly appended
+/// tail node, so `dest > node` always holds and deltas stay small. The
+/// children section (new in v3) lists the nodes whose link points here,
+/// ascending, each as the gap to the previous one (the first to the node
+/// itself — a link always points backwards) followed by that child's link
+/// LEL, which the walk tests at its first level without reading the
+/// child. The decoder treats any malformed input as [`Error::Parse`] —
+/// corrupt-page defense, never a panic or a garbage answer.
+mod record {
     use super::*;
     use pagestore::{read_varint, write_varint};
 
     /// A fully decoded node: link, ribs `(cl, dest, pt)`, extribs
-    /// `(prt, pt, dest)` in chain order (inline slots before spills).
+    /// `(prt, pt, dest)` in chain order, reverse-link children
+    /// `(child, lel)` ascending.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub(super) struct NodeRecord {
         pub link: (u32, u32),
         pub ribs: Vec<(Code, u32, u32)>,
         pub extribs: Vec<(u32, u32, u32)>,
+        pub children: Vec<(u32, u32)>,
     }
 
-    /// Encode `rec` for `node`, appending to `out`. Returns the byte spans
-    /// of the link and rib sections (the remainder is the extrib section)
-    /// so the sealer can attribute the footprint per edge kind.
-    pub(super) fn encode(node: u32, rec: &NodeRecord, out: &mut Vec<u8>) -> (usize, usize) {
-        let mut link_b = write_varint(out, rec.link.0 as u64);
-        link_b += write_varint(out, rec.link.1 as u64);
-        let mut ribs_b = write_varint(out, rec.ribs.len() as u64);
+    /// Encode `rec` for `node`, appending to `out`. Returns the byte sizes
+    /// of the link, rib, extrib and children sections, so the sealer can
+    /// attribute the footprint per edge kind.
+    pub(super) fn encode(node: u32, rec: &NodeRecord, out: &mut Vec<u8>) -> [usize; 4] {
+        let start = out.len();
+        write_varint(out, rec.link.0 as u64);
+        write_varint(out, rec.link.1 as u64);
+        let link_end = out.len();
+        write_varint(out, rec.ribs.len() as u64);
         for &(cl, dest, pt) in &rec.ribs {
             debug_assert!(dest > node, "rib destinations always point forward");
             out.push(cl);
-            ribs_b += 1;
-            ribs_b += write_varint(out, (dest - node) as u64);
-            ribs_b += write_varint(out, pt as u64);
+            write_varint(out, (dest - node) as u64);
+            write_varint(out, pt as u64);
         }
+        let ribs_end = out.len();
         write_varint(out, rec.extribs.len() as u64);
         for &(prt, pt, dest) in &rec.extribs {
             debug_assert!(dest > node, "extrib destinations always point forward");
@@ -190,11 +210,20 @@ mod v2 {
             write_varint(out, pt as u64);
             write_varint(out, (dest - node) as u64);
         }
-        (link_b, ribs_b)
+        let extribs_end = out.len();
+        write_varint(out, rec.children.len() as u64);
+        let mut prev = node;
+        for &(child, lel) in &rec.children {
+            debug_assert!(child > prev, "children ascend above their parent");
+            write_varint(out, (child - prev) as u64);
+            write_varint(out, lel as u64);
+            prev = child;
+        }
+        [link_end - start, ribs_end - link_end, extribs_end - ribs_end, out.len() - extribs_end]
     }
 
     fn truncated() -> Error {
-        Error::Parse("truncated v2 node record".into())
+        Error::Parse("truncated sealed node record".into())
     }
 
     fn take(buf: &[u8], at: &mut usize) -> Result<u64> {
@@ -204,19 +233,31 @@ mod v2 {
     }
 
     fn narrow(v: u64) -> Result<u32> {
-        u32::try_from(v).map_err(|_| Error::Parse("v2 record field exceeds u32".into()))
+        u32::try_from(v).map_err(|_| Error::Parse("sealed record field exceeds u32".into()))
     }
 
     fn fwd(node: u32, delta: u32) -> Result<u32> {
         node.checked_add(delta)
             .filter(|&d| d > node)
-            .ok_or_else(|| Error::Parse("v2 destination delta out of range".into()))
+            .ok_or_else(|| Error::Parse("sealed record node delta out of range".into()))
     }
 
     fn byte(buf: &[u8], at: &mut usize) -> Result<u8> {
         let b = *buf.get(*at).ok_or_else(truncated)?;
         *at += 1;
         Ok(b)
+    }
+
+    /// Advance `at` from the record start past the link and rib sections.
+    fn skip_to_extribs(buf: &[u8], at: &mut usize) -> Result<()> {
+        take(buf, at)?; // link dest
+        take(buf, at)?; // link lel
+        for _ in 0..take(buf, at)? {
+            byte(buf, at)?;
+            take(buf, at)?;
+            take(buf, at)?;
+        }
+        Ok(())
     }
 
     /// Decode a whole record; rejects trailing bytes.
@@ -239,10 +280,17 @@ mod v2 {
             let delta = narrow(take(buf, &mut at)?)?;
             extribs.push((prt, pt, fwd(node, delta)?));
         }
-        if at != buf.len() {
-            return Err(Error::Parse("trailing bytes after v2 node record".into()));
+        let kid_count = take(buf, &mut at)? as usize;
+        let mut children = Vec::with_capacity(kid_count.min(256));
+        let mut prev = node;
+        for _ in 0..kid_count {
+            prev = fwd(prev, narrow(take(buf, &mut at)?)?)?;
+            children.push((prev, narrow(take(buf, &mut at)?)?));
         }
-        Ok(NodeRecord { link, ribs, extribs })
+        if at != buf.len() {
+            return Err(Error::Parse("trailing bytes after sealed node record".into()));
+        }
+        Ok(NodeRecord { link, ribs, extribs, children })
     }
 
     /// The first two varints only — the backbone-scan hot path
@@ -274,14 +322,7 @@ mod v2 {
     /// mutable layout's inline-then-spill probe order.
     pub(super) fn find_extrib(buf: &[u8], node: u32, prt: u32) -> Result<Option<(u32, u32)>> {
         let mut at = 0;
-        take(buf, &mut at)?; // link dest
-        take(buf, &mut at)?; // link lel
-        let rib_count = take(buf, &mut at)? as usize;
-        for _ in 0..rib_count {
-            byte(buf, &mut at)?;
-            take(buf, &mut at)?;
-            take(buf, &mut at)?;
-        }
+        skip_to_extribs(buf, &mut at)?;
         let ext_count = take(buf, &mut at)? as usize;
         for _ in 0..ext_count {
             let eprt = narrow(take(buf, &mut at)?)?;
@@ -293,10 +334,37 @@ mod v2 {
         }
         Ok(None)
     }
+
+    /// [`SpineOps::try_link_children`] over one record: push the children
+    /// whose LEL is at least `min_lel` onto `out`, return how many the
+    /// section lists.
+    pub(super) fn children(
+        buf: &[u8],
+        node: u32,
+        min_lel: u32,
+        out: &mut Vec<NodeId>,
+    ) -> Result<u64> {
+        let mut at = 0;
+        skip_to_extribs(buf, &mut at)?;
+        for _ in 0..take(buf, &mut at)? {
+            take(buf, &mut at)?;
+            take(buf, &mut at)?;
+            take(buf, &mut at)?;
+        }
+        let kid_count = take(buf, &mut at)?;
+        let mut prev = node;
+        for _ in 0..kid_count {
+            prev = fwd(prev, narrow(take(buf, &mut at)?)?)?;
+            if narrow(take(buf, &mut at)?)? >= min_lel {
+                out.push(prev);
+            }
+        }
+        Ok(kid_count)
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Sealed (format-v2) store.
+// Sealed store.
 // ---------------------------------------------------------------------------
 
 /// Structural counts recovered by decoding every record of a sealed index
@@ -313,6 +381,9 @@ pub struct SealedCensus {
     /// Records too large for a slotted page, served from the sidecar
     /// overflow map instead.
     pub overflow_records: u64,
+    /// Total reverse-link children across all records: every non-root
+    /// node hangs in exactly one list, so this equals `nodes - 1`.
+    pub link_children: u64,
 }
 
 /// The node → page mapping of a [`DiskSpine`] layout, for attributing
@@ -362,7 +433,7 @@ impl PageMap {
     }
 }
 
-/// A read-only format-v2 index on a page device.
+/// A read-only sealed (format-v3) index on a page device.
 ///
 /// Page 0 is the file header; pages `1..=label_pages` hold the packed
 /// backbone labels; the next `node_pages` pages hold slotted node records;
@@ -501,7 +572,7 @@ impl SealedStore {
 }
 
 /// The physical store behind a [`DiskSpine`]: append-friendly fixed
-/// records, or the sealed read-optimized v2 layout.
+/// records, or the sealed read-optimized layout.
 enum Store {
     Mutable(PagedVec),
     Sealed(SealedStore),
@@ -531,7 +602,7 @@ struct DiskTelemetry {
     cache: Arc<CacheStats>,
     /// Pages *fetched from the device* (pool misses) per
     /// `try_locate`/`try_find_all` ("disk.pages_per_query"). Pool hits are
-    /// free; this histogram measures real I/O, which is what the layout-v2
+    /// free; this histogram measures real I/O, which is what the sealed
     /// record density exists to cut.
     pages_per_query: Arc<Histogram>,
     /// Extrib lookups that fell through to the spill side table
@@ -624,10 +695,10 @@ impl DiskSpine {
         Ok((s, stats))
     }
 
-    /// Build a *sealed* format-v2 index on `device`: construct with the
-    /// mutable layout on a scratch in-memory device, then
-    /// [`seal_to`](Self::seal_to) the result. This is the durable build
-    /// path — only sealed devices can be [`reopen`](Self::reopen)ed.
+    /// Build a *sealed* index of `text` on `device`: construct the §5
+    /// compact layout in memory ([`CompactSpine`]), then write it out in
+    /// the sealed format. This is the durable build path — only sealed
+    /// devices can be [`reopen`](Self::reopen)ed.
     pub fn build_sealed(
         alphabet: Alphabet,
         text: &[Code],
@@ -635,29 +706,25 @@ impl DiskSpine {
         pool_pages: usize,
         policy: Box<dyn EvictionPolicy>,
     ) -> Result<Self> {
-        let scratch = Self::build(
-            alphabet,
-            text,
-            Box::new(MemDevice::new()),
-            pool_pages.max(32),
-            Box::<Lru>::default(),
-        )?;
-        scratch.seal_to(device, pool_pages, policy)
+        let source = CompactSpine::build(alphabet, text)?;
+        Self::seal_compact(&source, device, pool_pages, policy, None)
     }
 
-    /// Re-encode this index into the sealed format-v2 layout on a fresh
-    /// `device`: packed label pages followed by slotted pages of
-    /// varint/delta node records (spilled extribs folded in), with the file
-    /// header written last so a crash mid-seal leaves an unreadable —
-    /// never a half-valid — target. `self` is not consumed and stays fully
-    /// queryable; a failed seal (e.g. a device fault) leaves it intact.
+    /// Re-encode this index into the sealed layout on a fresh `device`:
+    /// the text is read back and rebuilt as the same [`CompactSpine`]
+    /// [`build_sealed`](Self::build_sealed) seals from, so every seal has
+    /// one source. Packed label pages are followed by slotted pages of
+    /// varint/delta node records, with the file header written last so a
+    /// crash mid-seal leaves an unreadable — never a half-valid — target.
+    /// `self` is not consumed and stays fully queryable; a failed seal
+    /// (e.g. a device fault) leaves it intact.
     pub fn seal_to(
         &self,
         device: Box<dyn PageDevice>,
         pool_pages: usize,
         policy: Box<dyn EvictionPolicy>,
     ) -> Result<DiskSpine> {
-        self.seal_impl(device, pool_pages, policy, None)
+        Self::seal_compact(&self.compact_source()?, device, pool_pages, policy, None)
     }
 
     /// [`seal_to`](Self::seal_to) plus a heatmap-driven clustering pass:
@@ -676,30 +743,40 @@ impl DiskSpine {
         policy: Box<dyn EvictionPolicy>,
         hot: &HotSet,
     ) -> Result<DiskSpine> {
-        self.seal_impl(device, pool_pages, policy, Some(hot))
+        Self::seal_compact(&self.compact_source()?, device, pool_pages, policy, Some(hot))
     }
 
-    fn seal_impl(
-        &self,
+    /// The seal source of this index: its text, read back from either
+    /// layout, rebuilt as a [`CompactSpine`].
+    fn compact_source(&self) -> Result<CompactSpine> {
+        let mut codes = Vec::with_capacity(self.len);
+        for i in 0..self.len {
+            codes.push(self.read_cl(i as u32 + 1)?);
+        }
+        CompactSpine::build(self.alphabet.clone(), &codes)
+    }
+
+    /// The one seal pipeline: write `src` to `device` in the sealed layout.
+    fn seal_compact(
+        src: &CompactSpine,
         device: Box<dyn PageDevice>,
         pool_pages: usize,
         policy: Box<dyn EvictionPolicy>,
         hot: Option<&HotSet>,
     ) -> Result<DiskSpine> {
-        // Gather the backbone labels (works over either source layout).
-        let mut codes = Vec::with_capacity(self.len);
-        for i in 0..self.len {
-            codes.push(self.read_cl(i as u32 + 1)?);
-        }
+        let alphabet = StringIndex::alphabet(src).clone();
+        let len = src.len();
+        let codes = src.recover_text();
         // Packing width: the alphabet's word-compare width when every label
         // fits it (a DNA separator does not), else just enough bits for the
         // code space — still a bit-tight store, compared scalar.
-        let (bits, packed_compare) = match self.alphabet.pack_bits() {
+        let (bits, packed_compare) = match alphabet.pack_bits() {
             Some(b) if codes.iter().all(|&c| (c as u64) <= low_mask(b)) => (b, true),
-            _ => (self.alphabet.label_bits(), false),
+            _ => (alphabet.label_bits(), false),
         };
         let packed =
             PackedText::from_codes(bits, &codes).expect("labels fit the chosen packing width");
+        drop(codes);
         let words = packed.words();
         let label_words = words.len();
         let label_pages = label_words.div_ceil(WORDS_PER_PAGE) as u32;
@@ -724,6 +801,35 @@ impl DiskSpine {
             })?;
         }
 
+        // Invert the links by counting sort: node k's children are
+        // `kids[offsets[k]..offsets[k + 1]]`, ascending because the fill
+        // visits nodes in order.
+        let mut offsets = vec![0u32; len + 2];
+        for j in 1..=len as u32 {
+            offsets[src.link_dest(j) as usize + 2] += 1;
+        }
+        for k in 2..offsets.len() {
+            offsets[k] += offsets[k - 1];
+        }
+        let mut kids = vec![0u32; len];
+        for j in 1..=len as u32 {
+            let slot = &mut offsets[src.link_dest(j) as usize + 1];
+            kids[*slot as usize] = j;
+            *slot += 1;
+        }
+        let mut rec = record::NodeRecord::default();
+        let mut encode = |node: u32, buf: &mut Vec<u8>| {
+            rec.link = src.link_of(node);
+            rec.ribs.clear();
+            rec.extribs.clear();
+            src.edges_into(node, &mut rec.ribs, &mut rec.extribs);
+            let kids = &kids[offsets[node as usize] as usize..offsets[node as usize + 1] as usize];
+            rec.children.clear();
+            rec.children.extend(kids.iter().map(|&c| (c, src.lel_value(c))));
+            buf.clear();
+            record::encode(node, &rec, buf)
+        };
+
         let mut encoded =
             MemBreakdown { vertebrae: label_words as u64 * 8, ..MemBreakdown::default() };
         let mut overflow: FxHashMap<u32, Vec<u8>> = FxHashMap::default();
@@ -731,13 +837,12 @@ impl DiskSpine {
         let mut node_pages: u32 = 0;
         let mut builder = SlottedPageBuilder::new(0);
         let mut buf = Vec::new();
-        for node in 0..=self.len as u32 {
-            let rec = self.full_record(node)?;
-            buf.clear();
-            let (link_b, ribs_b) = v2::encode(node, &rec, &mut buf);
-            encoded.links += link_b as u64;
-            encoded.ribs += ribs_b as u64;
-            encoded.extribs += (buf.len() - link_b - ribs_b) as u64;
+        for node in 0..=len as u32 {
+            let [links, ribs, extribs, children] = encode(node, &mut buf);
+            encoded.links += links as u64;
+            encoded.ribs += ribs as u64;
+            encoded.extribs += extribs as u64;
+            encoded.link_children += children as u64;
             let payload: &[u8] = if buf.len() <= slotted::MAX_RECORD_LEN { &buf } else { &[] };
             if !builder.push(payload) {
                 pool.write(1 + label_pages + node_pages, |b| b.copy_from_slice(&builder.finish()))?;
@@ -764,15 +869,10 @@ impl DiskSpine {
             let mut hb = SlottedPageBuilder::new(0);
             let mut pending: Vec<u32> = Vec::new(); // nodes on the page being built
             for node in hot.nodes() {
-                if node as usize > self.len
-                    || hot_index.contains_key(&node)
-                    || pending.contains(&node)
-                {
+                if node as usize > len || hot_index.contains_key(&node) || pending.contains(&node) {
                     continue;
                 }
-                let rec = self.full_record(node)?;
-                buf.clear();
-                v2::encode(node, &rec, &mut buf);
+                encode(node, &mut buf);
                 if buf.len() > slotted::MAX_RECORD_LEN {
                     continue;
                 }
@@ -802,7 +902,6 @@ impl DiskSpine {
         // a media-order fact, not just program order, or a crash between the
         // body and the header could leave a header over torn pages.
         pool.sync()?;
-        let len = self.len as u64;
         pool.write(0, |b| {
             b.fill(0);
             PageHeader {
@@ -815,10 +914,10 @@ impl DiskSpine {
             let at = slotted::PAGE_HEADER_LEN;
             b[at..at + 4].copy_from_slice(SEALED_MAGIC);
             b[at + 4..at + 6].copy_from_slice(&DISK_FORMAT_VERSION.to_le_bytes());
-            b[at + 6] = alphabet_tag(&self.alphabet);
+            b[at + 6] = alphabet_tag(&alphabet);
             b[at + 7] = bits as u8;
             b[at + 8] = packed_compare as u8;
-            b[at + 9..at + 17].copy_from_slice(&len.to_le_bytes());
+            b[at + 9..at + 17].copy_from_slice(&(len as u64).to_le_bytes());
             b[at + 17..at + 21].copy_from_slice(&label_pages.to_le_bytes());
             b[at + 21..at + 25].copy_from_slice(&node_pages.to_le_bytes());
             b[at + 25..at + 29].copy_from_slice(&hot_pages.to_le_bytes());
@@ -827,8 +926,8 @@ impl DiskSpine {
 
         pool.set_read_ahead(SCAN_READ_AHEAD);
         Ok(DiskSpine {
-            alphabet: self.alphabet.clone(),
-            layout: Layout::new(&self.alphabet),
+            layout: Layout::new(&alphabet),
+            alphabet,
             store: Mutex::new(Store::Sealed(SealedStore {
                 pool,
                 bits,
@@ -844,52 +943,13 @@ impl DiskSpine {
             })),
             spill: Mutex::new(FxHashMap::default()),
             spill_count: AtomicU64::new(0),
-            len: self.len,
+            len,
             counters: Counters::new(),
             telemetry: OnceLock::new(),
         })
     }
 
-    /// The complete logical record of `node`, regardless of layout
-    /// (mutable reads fold the spill side table in, preserving probe
-    /// order).
-    fn full_record(&self, node: u32) -> Result<v2::NodeRecord> {
-        let mut rec = {
-            let mut guard = self.store.lock();
-            match &mut *guard {
-                Store::Sealed(s) => return s.with_record(node, |buf| v2::decode(node, buf)),
-                Store::Mutable(v) => {
-                    let l = &self.layout;
-                    v.read(node as usize, |r| {
-                        let link = (get_u32(r, 1), get_u32(r, 5));
-                        let rib_count = r[9] as usize;
-                        let mut ribs = Vec::with_capacity(rib_count);
-                        for i in 0..rib_count {
-                            let off = l.rib_off(i);
-                            ribs.push((r[off], get_u32(r, off + 1), get_u32(r, off + 5)));
-                        }
-                        let ec = (r[l.extrib_count_off()] as usize).min(EXTRIB_SLOTS);
-                        let mut extribs = Vec::with_capacity(ec);
-                        for i in 0..ec {
-                            let off = l.extrib_off(i);
-                            extribs.push((
-                                get_u32(r, off + 8),
-                                get_u32(r, off + 4),
-                                get_u32(r, off),
-                            ));
-                        }
-                        v2::NodeRecord { link, ribs, extribs }
-                    })?
-                }
-            }
-        };
-        if let Some(sp) = self.spill.lock().get(&node) {
-            rec.extribs.extend(sp.iter().copied());
-        }
-        Ok(rec)
-    }
-
-    /// Is this index in the sealed (read-only, format-v2) layout?
+    /// Is this index in the sealed (read-only) layout?
     pub fn is_sealed(&self) -> bool {
         matches!(&*self.store.lock(), Store::Sealed(_))
     }
@@ -1049,10 +1109,11 @@ impl DiskSpine {
         };
         let mut c = SealedCensus::default();
         for node in 0..=self.len as u32 {
-            let rec = s.with_record(node, |b| v2::decode(node, b))?;
+            let rec = s.with_record(node, |b| record::decode(node, b))?;
             c.nodes += 1;
             c.ribs += rec.ribs.len() as u64;
             c.extribs += rec.extribs.len() as u64;
+            c.link_children += rec.children.len() as u64;
             if s.overflow.contains_key(&node) {
                 c.overflow_records += 1;
             }
@@ -1211,7 +1272,7 @@ impl DiskSpine {
     fn read_link(&self, node: u32) -> Result<(u32, u32)> {
         match &mut *self.store.lock() {
             Store::Mutable(v) => v.read(node as usize, |r| (get_u32(r, 1), get_u32(r, 5))),
-            Store::Sealed(s) => s.with_record(node, v2::decode_link),
+            Store::Sealed(s) => s.with_record(node, record::decode_link),
         }
     }
 
@@ -1228,7 +1289,7 @@ impl DiskSpine {
                 }
                 None
             }),
-            Store::Sealed(s) => s.with_record(node, |rec| v2::find_rib(rec, node, c)),
+            Store::Sealed(s) => s.with_record(node, |rec| record::find_rib(rec, node, c)),
         }
     }
 
@@ -1238,7 +1299,7 @@ impl DiskSpine {
             match &mut *self.store.lock() {
                 // Sealed records carry their whole chain — no side table.
                 Store::Sealed(s) => {
-                    return s.with_record(node, |rec| v2::find_extrib(rec, node, prt));
+                    return s.with_record(node, |rec| record::find_extrib(rec, node, prt));
                 }
                 Store::Mutable(v) => v.read(node as usize, |r| {
                     let count = (r[l.extrib_count_off()] as usize).min(EXTRIB_SLOTS);
@@ -1482,8 +1543,11 @@ impl DiskSpine {
     /// single-query flows, an upper bound while concurrent queries share
     /// the pool). A storage failure mid-traversal is captured in
     /// [`crate::trace::QueryTrace::error`] with the partial trace retained.
-    /// Traced walks always take the scalar path (the event stream is the
-    /// point), so sealed and mutable traces are step-identical.
+    /// Traced locates always take the scalar path (the event stream is the
+    /// point), so sealed and mutable traces locate step-identically; the
+    /// sealed layout then enumerates by the link walk, the mutable one by
+    /// the backbone scan ([`crate::trace::QueryTrace::logical_events`]
+    /// equates the two).
     pub fn explain(&self, pattern: &[Code]) -> crate::trace::QueryTrace {
         let before = self.sample_accesses();
         let t = crate::trace::explain(self, pattern);
@@ -1541,6 +1605,19 @@ impl SpineOps for DiskSpine {
             }
         }
         crate::ops::scalar_label_run(self, node, pattern, from)
+    }
+
+    fn keeps_link_children(&self) -> bool {
+        self.is_sealed()
+    }
+
+    fn try_link_children(&self, node: NodeId, min_lel: u32, out: &mut Vec<NodeId>) -> Result<u64> {
+        match &mut *self.store.lock() {
+            Store::Sealed(s) => {
+                s.with_record(node, |rec| record::children(rec, node, min_lel, out))
+            }
+            Store::Mutable(_) => Err(Error::Unsupported("link children of a mutable index")),
+        }
     }
 
     fn scan_begin(&self, from: NodeId) {
@@ -1643,7 +1720,8 @@ impl DiskSpine {
         for &first in s.first_nodes.iter() {
             w.write_all(&first.to_le_bytes())?;
         }
-        for part in [s.encoded.vertebrae, s.encoded.links, s.encoded.ribs, s.encoded.extribs] {
+        let e = &s.encoded;
+        for part in [e.vertebrae, e.links, e.ribs, e.extribs, e.link_children] {
             w.write_all(&part.to_le_bytes())?;
         }
         let mut entries: Vec<(u32, &Vec<u8>)> = s.overflow.iter().map(|(&n, v)| (n, v)).collect();
@@ -1695,8 +1773,8 @@ impl DiskSpine {
     /// Reattach to a `device` holding a previously sealed and flushed
     /// index, using the sidecar written by [`write_meta`](Self::write_meta).
     ///
-    /// Only format-[`DISK_FORMAT_VERSION`] artifacts reopen; a version-1
-    /// sidecar (or a device whose header page is not stamped v2) yields
+    /// Only format-[`DISK_FORMAT_VERSION`] artifacts reopen; an older
+    /// sidecar (or a device whose header page carries another version) yields
     /// [`Error::FormatVersion`] — the typed "rebuild required" signal —
     /// and unrecognizable bytes yield [`Error::Parse`].
     pub fn reopen<R: std::io::Read>(
@@ -1744,18 +1822,13 @@ impl DiskSpine {
         if first_nodes[0] != 0 || first_nodes.windows(2).any(|w| w[0] >= w[1]) {
             return Err(Error::Parse("corrupt sealed page directory".into()));
         }
-        let mut parts = [0u64; 4];
+        let mut parts = [0u64; 5];
         for p in &mut parts {
             meta.read_exact(&mut b8)?;
             *p = u64::from_le_bytes(b8);
         }
-        let encoded = MemBreakdown {
-            vertebrae: parts[0],
-            links: parts[1],
-            ribs: parts[2],
-            extribs: parts[3],
-            link_children: 0,
-        };
+        let [vertebrae, links, ribs, extribs, link_children] = parts;
+        let encoded = MemBreakdown { vertebrae, links, ribs, extribs, link_children };
         meta.read_exact(&mut b8)?;
         let overflow_count = u64::from_le_bytes(b8);
         let mut overflow: FxHashMap<u32, Vec<u8>> = FxHashMap::default();
@@ -2078,7 +2151,7 @@ mod tests {
         assert_eq!(sealed.pinned_pages(), pinned);
         // A full-backbone occurrence scan cannot flush the pinned set.
         let p = a.encode(b"CA").unwrap();
-        assert!(!sealed.try_find_all(&p).unwrap().is_empty());
+        assert!(!crate::occurrences::backbone_scan_ends(&sealed, &p).is_empty());
         assert_eq!(sealed.pinned_pages(), pinned);
         assert_eq!(sealed.pool_stats().pinned, pinned as u64);
         assert_eq!(sealed.unpin_all(), pinned);
@@ -2098,8 +2171,12 @@ mod tests {
             Box::<Lru>::default(),
         )
         .unwrap();
+        // The paper's backbone scan still sends the scan hints on a sealed
+        // index; the link walk, which serves queries, sends none.
         let p = a.encode(b"ACGT").unwrap();
         assert!(!sealed.try_find_all(&p).unwrap().is_empty());
+        assert_eq!(sealed.pool_stats().prefetched, 0, "the walk reads no pages ahead");
+        assert!(!crate::occurrences::backbone_scan_ends(&sealed, &p).is_empty());
         let st = sealed.pool_stats();
         assert!(st.prefetched > 0, "the backbone scan must prefetch ahead: {st:?}");
         assert!(st.prefetch_hits > 0, "prefetched pages must be consumed: {st:?}");
@@ -2169,68 +2246,94 @@ mod tests {
 }
 
 #[cfg(test)]
-mod v2_codec_tests {
-    use super::v2::{self, NodeRecord};
+mod record_codec_tests {
+    use super::record::{self, NodeRecord};
     use super::*;
     use proptest::prelude::*;
 
     fn rt(node: u32, rec: &NodeRecord) -> Vec<u8> {
         let mut buf = Vec::new();
-        let (link_b, ribs_b) = v2::encode(node, rec, &mut buf);
-        assert!(link_b >= 2 && link_b + ribs_b <= buf.len());
+        let sections = record::encode(node, rec, &mut buf);
+        assert!(sections[0] >= 2 && sections.iter().sum::<usize>() == buf.len());
         buf
+    }
+
+    fn kids(buf: &[u8], node: u32, min_lel: u32) -> (u64, Vec<NodeId>) {
+        let mut out = Vec::new();
+        let n = record::children(buf, node, min_lel, &mut out).unwrap();
+        (n, out)
     }
 
     #[test]
     fn empty_record_round_trips() {
         let rec = NodeRecord::default();
         let buf = rt(7, &rec);
-        assert_eq!(buf, vec![0, 0, 0, 0], "two zero link varints + two zero counts");
-        assert_eq!(v2::decode(7, &buf).unwrap(), rec);
-        assert_eq!(v2::decode_link(&buf).unwrap(), (0, 0));
-        assert_eq!(v2::find_rib(&buf, 7, 3).unwrap(), None);
-        assert_eq!(v2::find_extrib(&buf, 7, 9).unwrap(), None);
+        assert_eq!(buf, vec![0, 0, 0, 0, 0], "two zero link varints + three zero counts");
+        assert_eq!(record::decode(7, &buf).unwrap(), rec);
+        assert_eq!(record::decode_link(&buf).unwrap(), (0, 0));
+        assert_eq!(record::find_rib(&buf, 7, 3).unwrap(), None);
+        assert_eq!(record::find_extrib(&buf, 7, 9).unwrap(), None);
+        assert_eq!(kids(&buf, 7, 0), (0, vec![]));
     }
 
     #[test]
     fn max_degree_record_round_trips() {
         // A bytes-alphabet node can fan out one rib per code (254) plus a
-        // long extrib chain — the worst record v2 must carry inline.
+        // long extrib chain and a few hundred children.
         let node = 1000u32;
         let rec = NodeRecord {
             link: (u32::MAX, u32::MAX),
             ribs: (0..254u32).map(|i| (i as Code, node + 1 + i, i * 17)).collect(),
             extribs: (0..40u32).map(|i| (i * 3, i * 5, node + 300 + i)).collect(),
+            children: (0..300u32).map(|i| (node + 1 + 3 * i, i % 9)).collect(),
         };
         let buf = rt(node, &rec);
         assert!(buf.len() <= slotted::MAX_RECORD_LEN, "max-degree record fits one page slot");
-        assert_eq!(v2::decode(node, &buf).unwrap(), rec);
-        assert_eq!(v2::decode_link(&buf).unwrap(), rec.link);
+        assert_eq!(record::decode(node, &buf).unwrap(), rec);
+        assert_eq!(record::decode_link(&buf).unwrap(), rec.link);
         for &(cl, dest, pt) in &rec.ribs {
-            assert_eq!(v2::find_rib(&buf, node, cl).unwrap(), Some((dest, pt)));
+            assert_eq!(record::find_rib(&buf, node, cl).unwrap(), Some((dest, pt)));
         }
         for &(prt, pt, dest) in &rec.extribs {
-            assert_eq!(v2::find_extrib(&buf, node, prt).unwrap(), Some((dest, pt)));
+            assert_eq!(record::find_extrib(&buf, node, prt).unwrap(), Some((dest, pt)));
         }
-        assert_eq!(v2::find_rib(&buf, node, 255).unwrap(), None);
+        assert_eq!(record::find_rib(&buf, node, 255).unwrap(), None);
+        let all: Vec<NodeId> = rec.children.iter().map(|&(c, _)| c).collect();
+        assert_eq!(kids(&buf, node, 0), (300, all));
+        let deep: Vec<NodeId> =
+            rec.children.iter().filter(|&&(_, lel)| lel >= 7).map(|&(c, _)| c).collect();
+        assert_eq!(kids(&buf, node, 7), (300, deep));
     }
 
     #[test]
     fn every_strict_prefix_is_rejected_cleanly() {
         let node = 42u32;
         let rec = NodeRecord {
-            link: (300, 7),
+            link: (30, 7),
             ribs: vec![(0, 43, 1), (2, 99999, 500)],
             extribs: vec![(1, 2, 44), (128, 300, 45)],
+            children: vec![(43, 2), (50, 9), (70_000, 1)],
         };
         let buf = rt(node, &rec);
         for cut in 0..buf.len() {
-            assert!(v2::decode(node, &buf[..cut]).is_err(), "prefix of {cut} bytes must fail");
+            assert!(record::decode(node, &buf[..cut]).is_err(), "prefix of {cut} bytes must fail");
+            assert!(
+                record::children(&buf[..cut], node, 0, &mut Vec::new()).is_err(),
+                "children of a {cut}-byte prefix must fail"
+            );
         }
         // Trailing garbage is rejected too.
         let mut long = buf.clone();
         long.push(0);
-        assert!(v2::decode(node, &long).is_err());
+        assert!(record::decode(node, &long).is_err());
+        // A zero gap would repeat a child (or name the node itself).
+        let mut dup = rec.clone();
+        dup.children = vec![(43, 2)];
+        let mut bad = rt(node, &dup);
+        let gap = bad.len() - 2;
+        bad[gap] = 0;
+        assert!(record::decode(node, &bad).is_err());
+        assert!(record::children(&bad, node, 0, &mut Vec::new()).is_err());
     }
 
     proptest! {
@@ -2243,6 +2346,8 @@ mod v2_codec_tests {
             lel in 0u32..1_000_000,
             ribs in proptest::collection::vec((0u32..=255, 1u32..100_000, 0u32..1_000_000), 0..12),
             extribs in proptest::collection::vec((0u32..500_000, 0u32..500_000, 1u32..100_000), 0..10),
+            gaps in proptest::collection::vec((1u32..100_000, 0u32..1_000_000), 0..12),
+            min_lel in 0u32..1_000_000,
         ) {
             // Unique rib labels / chain prts, as the build guarantees.
             let mut seen = std::collections::HashSet::new();
@@ -2257,33 +2362,54 @@ mod v2_codec_tests {
                 .filter(|&(prt, _, _)| seen.insert(prt))
                 .map(|(prt, pt, delta)| (prt, pt, node + delta))
                 .collect();
-            let rec = NodeRecord { link: (link_dest, lel), ribs, extribs };
+            let mut prev = node;
+            let children: Vec<(u32, u32)> = gaps
+                .into_iter()
+                .map(|(gap, lel)| {
+                    prev += gap;
+                    (prev, lel)
+                })
+                .collect();
+            let rec = NodeRecord { link: (link_dest, lel), ribs, extribs, children };
             let buf = rt(node, &rec);
-            prop_assert_eq!(v2::decode(node, &buf).unwrap(), rec.clone());
-            prop_assert_eq!(v2::decode_link(&buf).unwrap(), rec.link);
+            prop_assert_eq!(record::decode(node, &buf).unwrap(), rec.clone());
+            prop_assert_eq!(record::decode_link(&buf).unwrap(), rec.link);
             for &(cl, dest, pt) in &rec.ribs {
-                prop_assert_eq!(v2::find_rib(&buf, node, cl).unwrap(), Some((dest, pt)));
+                prop_assert_eq!(record::find_rib(&buf, node, cl).unwrap(), Some((dest, pt)));
             }
             for &(prt, pt, dest) in &rec.extribs {
-                prop_assert_eq!(v2::find_extrib(&buf, node, prt).unwrap(), Some((dest, pt)));
+                prop_assert_eq!(record::find_extrib(&buf, node, prt).unwrap(), Some((dest, pt)));
             }
+            let want: Vec<NodeId> =
+                rec.children.iter().filter(|&&(_, l)| l >= min_lel).map(|&(c, _)| c).collect();
+            prop_assert_eq!(kids(&buf, node, min_lel), (rec.children.len() as u64, want));
         }
 
         #[test]
         fn arbitrary_bytes_never_panic_the_decoder(
             bytes in proptest::collection::vec(0u8..=255, 0..64),
             node in 0u32..1_000_000,
+            min_lel in 0u32..4,
         ) {
             // Any outcome is fine except a panic or a nonsensical Ok: if it
-            // decodes, re-encoding must reproduce the input exactly.
-            if let Ok(rec) = v2::decode(node, &bytes) {
+            // decodes, re-encoding must reproduce the input exactly, and the
+            // children accessor must agree with the full decode.
+            if let Ok(rec) = record::decode(node, &bytes) {
                 let mut out = Vec::new();
-                v2::encode(node, &rec, &mut out);
-                prop_assert_eq!(out, bytes);
+                record::encode(node, &rec, &mut out);
+                prop_assert_eq!(out, bytes.clone());
+                let want: Vec<NodeId> = rec
+                    .children
+                    .iter()
+                    .filter(|&&(_, l)| l >= min_lel)
+                    .map(|&(c, _)| c)
+                    .collect();
+                prop_assert_eq!(kids(&bytes, node, min_lel), (rec.children.len() as u64, want));
             }
-            let _ = v2::decode_link(&bytes);
-            let _ = v2::find_rib(&bytes, node, 0);
-            let _ = v2::find_extrib(&bytes, node, 0);
+            let _ = record::decode_link(&bytes);
+            let _ = record::find_rib(&bytes, node, 0);
+            let _ = record::find_extrib(&bytes, node, 0);
+            let _ = record::children(&bytes, node, min_lel, &mut Vec::new());
         }
     }
 }
@@ -2495,6 +2621,7 @@ mod sealed_tests {
         // decoded total equals everything the build created.
         assert_eq!(census.extribs, st.extribs_created);
         assert_eq!(census.overflow_records, 0);
+        assert_eq!(census.link_children, census.nodes - 1, "every non-root node is a child");
         assert_eq!(d.spill_count(), 0);
         // A mutable index has no census.
         assert!(matches!(src.sealed_census(), Err(Error::Unsupported(_))));
@@ -2502,36 +2629,42 @@ mod sealed_tests {
 
     #[test]
     fn oversized_record_takes_the_overflow_path() {
-        let text = b"AACCACAACAGGTTACGACGACCA";
-        let a = Alphabet::dna();
-        let codes = a.encode(text).unwrap();
-        let src = DiskSpine::build(
+        // A hub: `w` has distinct symbols, so every suffix of it first
+        // occurs at node |w|. Each piece `x + suffix` with a fresh context
+        // `x` links its end back to node |w| with the suffix length as LEL,
+        // giving that node thousands of reverse-link children — a record
+        // far past MAX_RECORD_LEN.
+        let a = Alphabet::bytes();
+        let w: Vec<Code> = (0..100).collect();
+        let mut text = w.clone();
+        for v in 1..=14 {
+            for x in 100..254 {
+                text.push(x);
+                text.extend_from_slice(&w[w.len() - v..]);
+            }
+        }
+        let d = DiskSpine::build_sealed(
             a.clone(),
-            &codes,
+            &text,
             Box::new(MemDevice::new()),
-            8,
+            4,
             Box::<Lru>::default(),
         )
         .unwrap();
-        // Graft an absurd extrib chain onto node 3 via the spill table:
-        // prts far outside any real pathlength, so queries never take them,
-        // but the encoded record blows past MAX_RECORD_LEN.
-        let grafts: Vec<(u32, u32, u32)> =
-            (0..2000u32).map(|i| (10_000_000 + i, 5, 4 + i % 7)).collect();
-        src.spill.lock().insert(3, grafts.clone());
-        let d = src.seal_to(Box::new(MemDevice::new()), 4, Box::<Lru>::default()).unwrap();
         let census = d.sealed_census().unwrap();
         assert_eq!(census.overflow_records, 1);
-        assert!(census.extribs >= 2000);
-        // The overflow record answers point lookups like any other.
-        for &(prt, pt, dest) in grafts.iter().step_by(500) {
-            assert_eq!(d.find_extrib(3, prt).unwrap(), Some((dest, pt)));
-        }
-        // And ordinary queries still agree with the reference.
-        let r = Spine::build_from_bytes(a.clone(), text).unwrap();
-        for p in [&b"CA"[..], b"ACCA", b"GGTT"] {
-            let p = a.encode(p).unwrap();
-            assert_eq!(StringIndex::find_all(&r, &p), StringIndex::find_all(&d, &p));
+        let hub = w.len() as NodeId;
+        assert!(matches!(&*d.store.lock(), Store::Sealed(s) if s.overflow.contains_key(&hub)));
+        // The overflow record serves the walk like any other.
+        let r = Spine::build(a.clone(), &text).unwrap();
+        let mut want = Vec::new();
+        r.try_link_children(hub, 3, &mut want).unwrap();
+        want.sort_unstable();
+        let mut got = Vec::new();
+        assert_eq!(d.try_link_children(hub, 3, &mut got).unwrap(), 14 * 154);
+        assert_eq!(got, want);
+        for p in [&w[97..], &w[90..], &w[..5], &[150, 99][..], &[7, 8, 9, 200][..]] {
+            assert_eq!(StringIndex::find_all(&r, p), StringIndex::find_all(&d, p), "{p:?}");
         }
     }
 
@@ -2775,11 +2908,50 @@ mod reopen_tests {
         )
         .err()
         .expect("v1 meta must be rejected");
-        assert!(matches!(err, Error::FormatVersion { found: 1, expected: 2 }), "got {err:?}");
+        assert!(matches!(err, Error::FormatVersion { found: 1, expected: 3 }), "got {err:?}");
         assert!(err.to_string().contains("rebuild required"), "{err}");
 
-        // Even a v2 sidecar cannot smuggle in a v1 device: the header page
-        // fails its per-page version check.
+        // A v2 artifact (sealed records without children) is refused the
+        // same way, by its sidecar and by its device header alike. v2 wrote
+        // the same header fields, so stamping version 2 into a fresh seal
+        // reproduces one.
+        let v2_path = temp_path("v2-artifact");
+        let sealed = DiskSpine::build_sealed(
+            a.clone(),
+            &text,
+            Box::new(FileDevice::create(&v2_path, false).unwrap()),
+            8,
+            Box::<Lru>::default(),
+        )
+        .unwrap();
+        sealed.flush().unwrap();
+        let mut v3_meta = Vec::new();
+        sealed.write_meta(&mut v3_meta).unwrap();
+        drop(sealed);
+        let mut v2_meta = v3_meta.clone();
+        v2_meta[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let reopen_v2 = |meta: &[u8]| {
+            DiskSpine::reopen(
+                &mut &meta[..],
+                Box::new(FileDevice::open(&v2_path, false).unwrap()),
+                8,
+                Box::<Lru>::default(),
+            )
+            .err()
+            .expect("a v2 artifact must be rejected")
+        };
+        let err = reopen_v2(&v2_meta);
+        assert!(matches!(err, Error::FormatVersion { found: 2, expected: 3 }), "got {err:?}");
+        assert!(err.to_string().contains("rebuild required"), "{err}");
+        let mut page0 = std::fs::read(&v2_path).unwrap();
+        let at = slotted::PAGE_HEADER_LEN + 4;
+        page0[at..at + 2].copy_from_slice(&2u16.to_le_bytes());
+        std::fs::write(&v2_path, &page0).unwrap();
+        let err = reopen_v2(&v3_meta);
+        assert!(matches!(err, Error::FormatVersion { found: 2, expected: 3 }), "got {err:?}");
+
+        // Even a current sidecar cannot smuggle in a v1 device: the header
+        // page fails its per-page version check.
         let sealed_mem = DiskSpine::build_sealed(
             a.clone(),
             &text,
@@ -2788,10 +2960,10 @@ mod reopen_tests {
             Box::<Lru>::default(),
         )
         .unwrap();
-        let mut v2_meta = Vec::new();
-        sealed_mem.write_meta(&mut v2_meta).unwrap();
+        let mut current_meta = Vec::new();
+        sealed_mem.write_meta(&mut current_meta).unwrap();
         let err = DiskSpine::reopen(
-            &mut v2_meta.as_slice(),
+            &mut current_meta.as_slice(),
             Box::new(FileDevice::open(&v1_path, false).unwrap()),
             8,
             Box::<Lru>::default(),
@@ -2801,11 +2973,11 @@ mod reopen_tests {
         assert!(matches!(err, Error::FormatVersion { .. } | Error::Parse(_)), "got {err:?}");
 
         // The recovery path: rebuild sealed, write fresh meta, reopen.
-        let v2_path = temp_path("rebuilt");
+        let rebuilt_path = temp_path("rebuilt");
         let rebuilt = DiskSpine::build_sealed(
             a.clone(),
             &text,
-            Box::new(FileDevice::create(&v2_path, false).unwrap()),
+            Box::new(FileDevice::create(&rebuilt_path, false).unwrap()),
             8,
             Box::<Lru>::default(),
         )
@@ -2815,7 +2987,7 @@ mod reopen_tests {
         drop(rebuilt);
         let reopened = DiskSpine::reopen(
             &mut meta.as_slice(),
-            Box::new(FileDevice::open(&v2_path, false).unwrap()),
+            Box::new(FileDevice::open(&rebuilt_path, false).unwrap()),
             8,
             Box::<Lru>::default(),
         )
@@ -2823,6 +2995,7 @@ mod reopen_tests {
         assert_eq!(StringIndex::find_all(&reopened, &a.encode(b"ACGACG").unwrap()), expected);
         std::fs::remove_file(&v1_path).ok();
         std::fs::remove_file(&v2_path).ok();
+        std::fs::remove_file(&rebuilt_path).ok();
     }
 
     #[test]

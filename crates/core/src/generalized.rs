@@ -223,10 +223,15 @@ impl SpineOps for GeneralizedSpine {
     }
 
     #[inline]
-    fn link_children(&self) -> Option<crate::ops::LinkChildren<'_>> {
+    fn keeps_link_children(&self) -> bool {
         // The concatenation is an ordinary text to the link tree, so the
         // walk finds exactly what the backbone scan finds.
-        self.spine.link_children()
+        self.spine.keeps_link_children()
+    }
+
+    #[inline]
+    fn try_link_children(&self, node: NodeId, min_lel: u32, out: &mut Vec<NodeId>) -> Result<u64> {
+        self.spine.try_link_children(node, min_lel, out)
     }
 
     #[inline]

@@ -159,10 +159,12 @@ pub struct MemBreakdown {
     pub ribs: u64,
     /// Bytes holding extribs (including any spill/side tables).
     pub extribs: u64,
-    /// Bytes of the reverse-link sibling array behind the occurrence walk
-    /// (see [`crate::ops::LinkChildren`]), 4 per node where kept. Reported
-    /// beside the paper's four columns and not part of [`total`](Self::total),
-    /// so the paper's space figures stay comparable.
+    /// Bytes of the reverse-link children lists behind the occurrence walk
+    /// ([`crate::SpineOps::try_link_children`]): the in-memory sibling
+    /// array (4 per node) of [`crate::Spine`], or the children sections of
+    /// a sealed [`crate::DiskSpine`]'s records. Reported beside the paper's
+    /// four columns and not part of [`total`](Self::total), so the paper's
+    /// space figures stay comparable.
     pub link_children: u64,
 }
 

@@ -8,14 +8,14 @@
 //! algorithms enumerate with it:
 //!
 //! * **The link walk**, output-sensitive. The occurrence ends are exactly
-//!   `fo(w)` plus the subtree below it in the *reverse-link tree* (the tree
-//!   of [`LinkChildren`]), entered through the children with `lel ≥ |w|`.
-//!   Below those children no LEL test is needed: if `k ≠ fo(w)` ends an
-//!   occurrence and `link(c) = k`, then `lel(c) ≥ |w|` — otherwise LET(c),
-//!   a suffix of `w`, would first occur at or before `fo(w) < k`. The walk
-//!   visits `deg(fo(w))` children of `fo(w)` plus one per further
-//!   occurrence, then sorts: O(occ log occ + deg(fo(w))) instead of
-//!   O(n − fo(w)).
+//!   `fo(w)` plus the subtree below it in the *reverse-link tree*
+//!   ([`SpineOps::try_link_children`]), entered through the children with
+//!   `lel ≥ |w|`. Below those children no LEL test is needed: if
+//!   `k ≠ fo(w)` ends an occurrence and `link(c) = k`, then `lel(c) ≥ |w|`
+//!   — otherwise LET(c), a suffix of `w`, would first occur at or before
+//!   `fo(w) < k`. The walk visits `deg(fo(w))` children of `fo(w)` plus
+//!   one per further occurrence, then sorts: O(occ log occ + deg(fo(w)))
+//!   instead of O(n − fo(w)).
 //! * **The backbone scan**, the paper's algorithm: one pass over
 //!   `fo(w)+1 ..= n`, accepting `j` when `lel(j) ≥ |w|` and `link(j)` is in
 //!   the sorted *target node buffer* (binary search). Its batched form
@@ -25,16 +25,19 @@
 //!   against and the paper's reproductions time.
 //!
 //! Enumeration dispatches once, in [`try_occurrences_from_traced`] and
-//! [`try_find_all_ends_batch`], on [`SpineOps::link_children`]:
-//! structures that keep the lists (the in-memory [`crate::Spine`] and
-//! [`crate::GeneralizedSpine`]) walk, the rest (the §5 compact layout,
-//! page-resident engines, prefix views) scan.
+//! [`try_find_all_ends_batch`], on [`SpineOps::keeps_link_children`].
+//! Structures that keep the lists walk: the in-memory [`crate::Spine`] and
+//! [`crate::GeneralizedSpine`], and a sealed [`crate::DiskSpine`] (so every
+//! [`crate::SegmentedSpine`] segment), whose records store each node's
+//! children. The walk is one fallible traversal for all of them: a page
+//! error mid-walk is an `Err`, never a partial answer. The rest scan: the
+//! §5 compact layout, the mutable [`crate::DiskSpine`] and prefix views.
 
 use crate::node::NodeId;
-use crate::ops::{LinkChildren, SpineOps, INFALLIBLE_BOUNDARY};
+use crate::ops::{SpineOps, INFALLIBLE_BOUNDARY};
 use crate::search::try_locate_traced;
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
-use strindex::{Code, Counters, FxHashMap, Result};
+use strindex::{Code, FxHashMap, Result};
 
 /// End positions (1-based) of all occurrences of `pattern`, ascending.
 ///
@@ -66,62 +69,58 @@ pub fn try_find_all_ends_traced<S: SpineOps + ?Sized, T: TraceSink + ?Sized>(
 
 /// All nodes ending an occurrence of the length-`len` string whose first
 /// occurrence ends at `first`, ascending, with a [`TraceSink`] attached.
-/// The link walk emits one [`TraceEvent::WalkStart`]; the backbone scan one
-/// [`TraceEvent::ScanStart`] and (for page-resident structures) a single
-/// [`TraceEvent::PageFetches`] aggregating its buffer-pool traffic. Either
-/// way one [`TraceEvent::Occurrence`] per further end follows, ascending.
+/// The link walk emits one [`TraceEvent::WalkStart`], the backbone scan one
+/// [`TraceEvent::ScanStart`]; for page-resident structures a single
+/// [`TraceEvent::PageFetches`] aggregates the enumeration's buffer-pool
+/// traffic. Either way one [`TraceEvent::Occurrence`] per further end
+/// follows, ascending.
 pub fn try_occurrences_from_traced<S: SpineOps + ?Sized, T: TraceSink + ?Sized>(
     s: &S,
     sink: &mut T,
     first: NodeId,
     len: u32,
 ) -> Result<Vec<NodeId>> {
-    match s.link_children() {
-        Some(lists) => Ok(link_walk(lists, s.ops_counters(), sink, first, len)),
-        None => try_backbone_scan_traced(s, sink, first, len),
+    if s.keeps_link_children() {
+        try_link_walk(s, sink, first, len)
+    } else {
+        try_backbone_scan_traced(s, sink, first, len)
     }
 }
 
-/// The link walk (see the module docs). Counts the children it visits into
-/// `counters` with one add.
-fn link_walk<T: TraceSink + ?Sized>(
-    lists: LinkChildren<'_>,
-    counters: &Counters,
+/// The link walk (see the module docs). Counts the children it examines
+/// into the structure's counters with one add.
+fn try_link_walk<S: SpineOps + ?Sized, T: TraceSink + ?Sized>(
+    s: &S,
     sink: &mut T,
     first: NodeId,
     len: u32,
-) -> Vec<NodeId> {
+) -> Result<Vec<NodeId>> {
     if T::ENABLED {
         sink.event(TraceEvent::WalkStart { first, len });
     }
-    let nodes = lists.nodes;
+    let before = if T::ENABLED { s.storage_counters() } else { None };
     let mut ends = vec![first];
-    let mut visits = 0u64;
-    for c in lists.children(first) {
-        visits += 1;
-        if nodes[c as usize].lel >= len {
-            ends.push(c);
-        }
-    }
+    let mut visits = s.try_link_children(first, len, &mut ends)?;
     // `ends` doubles as the work list: every node pushed below here is an
     // occurrence end, no test needed.
-    let entered = ends.len();
     let mut i = 1;
     while i < ends.len() {
-        ends.extend(lists.children(ends[i]));
+        visits += s.try_link_children(ends[i], 0, &mut ends)?;
         i += 1;
     }
-    visits += (ends.len() - entered) as u64;
-    counters.count_children_visited(visits);
+    s.ops_counters().count_children_visited(visits);
+    if let Some(e) = crate::trace::page_delta_event(s, before) {
+        sink.event(e);
+    }
     // Children have larger ids than their parent, so `first` stays first.
     ends[1..].sort_unstable();
     if T::ENABLED {
         for &j in &ends[1..] {
-            let n = &nodes[j as usize];
-            sink.event(TraceEvent::Occurrence { node: j, link: n.link, lel: n.lel });
+            let (link, lel) = s.try_link_of(j)?;
+            sink.event(TraceEvent::Occurrence { node: j, link, lel });
         }
     }
-    ends
+    Ok(ends)
 }
 
 /// The paper's §4 algorithm end to end, whatever the structure keeps:
@@ -211,14 +210,14 @@ pub fn try_find_all_ends_batch<S: SpineOps + ?Sized>(
     s: &S,
     targets: &[Target],
 ) -> Result<FxHashMap<Target, Vec<NodeId>>> {
-    let Some(lists) = s.link_children() else {
+    if !s.keeps_link_children() {
         return try_backbone_scan_batch(s, targets);
-    };
+    }
     let mut result: FxHashMap<Target, Vec<NodeId>> = FxHashMap::default();
     for &t in targets {
-        result.entry(t).or_insert_with(|| {
-            link_walk(lists, s.ops_counters(), &mut NoTrace, t.first_end, t.len)
-        });
+        if let std::collections::hash_map::Entry::Vacant(e) = result.entry(t) {
+            e.insert(try_link_walk(s, &mut NoTrace, t.first_end, t.len)?);
+        }
     }
     Ok(result)
 }
@@ -374,7 +373,7 @@ mod tests {
         let a = Alphabet::dna();
         let s = Spine::build_from_bytes(a, &b"AACCACAACAGGTTACGACGACCA".repeat(6)).unwrap();
         let text = s.recover_text();
-        let lists = SpineOps::link_children(&s).expect("the reference layout keeps lists");
+        assert!(s.keeps_link_children(), "the reference layout keeps lists");
         for i in 0..text.len() {
             for len in 1..=5.min(text.len() - i) {
                 let p = &text[i..i + len];
@@ -382,7 +381,7 @@ mod tests {
                 let ends = find_all_ends(&s, p);
                 let visits = s.counters().snapshot().since(&before).children_visited;
                 let occ = ends.len() as u64;
-                let deg = lists.children(ends[0]).count() as u64;
+                let deg = s.try_link_children(ends[0], 0, &mut Vec::new()).unwrap();
                 assert!(visits >= deg, "pattern {p:?}: {visits} visits, degree {deg}");
                 assert!(visits <= occ - 1 + deg, "pattern {p:?}: {visits} > {occ} - 1 + {deg}");
             }

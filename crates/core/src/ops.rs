@@ -17,51 +17,28 @@
 //! ([`crate::search::locate`], [`crate::occurrences::find_all_ends`]) are
 //! sugar that runs the same traversal and panics on a storage error.
 //!
-//! A few hooks are optional. [`SpineOps::link_children`] hands out the
-//! reverse-link children lists when a representation keeps them. With
-//! lists, occurrence enumeration walks the link subtree under the first
-//! occurrence; without them (the default) it runs the paper's backbone
-//! scan. Only the in-memory reference layout keeps lists today.
-//! [`SpineOps::backbone_packing`] enables the word-packed locate,
-//! [`SpineOps::storage_counters`] feeds page attribution to traces, and
-//! [`SpineOps::scan_begin`]/[`SpineOps::scan_end`] bracket backbone scans
-//! for page-resident buffer pools.
+//! A few hooks are optional. [`SpineOps::keeps_link_children`] says
+//! whether a representation stores the reverse-link children lists that
+//! [`SpineOps::try_link_children`] hands out. Who keeps them decides how
+//! occurrences are enumerated ([`crate::occurrences`]): the in-memory
+//! reference layout ([`crate::Spine`], and [`crate::GeneralizedSpine`]
+//! through it) and a *sealed* [`crate::DiskSpine`] (every
+//! [`crate::SegmentedSpine`] segment) keep them and walk the link subtree
+//! under the first occurrence; the §5 compact layout, the mutable
+//! [`crate::DiskSpine`] and [`crate::PrefixView`] keep none and run the
+//! paper's backbone scan. [`SpineOps::backbone_packing`] enables the
+//! word-packed locate, [`SpineOps::storage_counters`] feeds page
+//! attribution to traces, and [`SpineOps::scan_begin`]/[`SpineOps::scan_end`]
+//! bracket backbone scans for page-resident buffer pools.
 
-use crate::node::{Node, NodeId, ROOT};
-use strindex::{Code, Counters, PackedText, Result};
+use crate::node::NodeId;
+use strindex::{Code, Counters, Error, PackedText, Result};
 
 /// Panic message of the infallible sugar: its callers opted out of error
 /// handling, so a storage error can only panic there. Fault-aware callers
 /// use the `try_` surface.
 pub(crate) const INFALLIBLE_BOUNDARY: &str =
     "storage error during infallible traversal (use the try_* surface for fault tolerance)";
-
-/// Read view of the reverse-link children lists of an in-memory SPINE.
-///
-/// The children of node `k` are the nodes whose link points at `k`. Every
-/// non-root node is the child of exactly one node, so the lists form a tree
-/// rooted at [`ROOT`] — the *reverse-link tree*. Each list is threaded
-/// through [`Node::first_child`] and a sibling array, newest child first.
-#[derive(Debug, Clone, Copy)]
-pub struct LinkChildren<'a> {
-    pub(crate) nodes: &'a [Node],
-    next_sibling: &'a [NodeId],
-}
-
-impl<'a> LinkChildren<'a> {
-    pub(crate) fn new(nodes: &'a [Node], next_sibling: &'a [NodeId]) -> Self {
-        debug_assert_eq!(nodes.len(), next_sibling.len());
-        LinkChildren { nodes, next_sibling }
-    }
-
-    /// The nodes whose link points at `node`, newest first.
-    pub fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + 'a {
-        let next_sibling = self.next_sibling;
-        let first = self.nodes[node as usize].first_child;
-        std::iter::successors(Some(first), move |&c| Some(next_sibling[c as usize]))
-            .take_while(|&c| c != ROOT)
-    }
-}
 
 /// Read access to a SPINE structure. Node ids are `0..=text_len()`, with 0
 /// the root.
@@ -101,11 +78,28 @@ pub trait SpineOps {
         scalar_label_run(self, node, pattern, from)
     }
 
-    /// The reverse-link children lists, when this representation keeps
-    /// them. `None` (the default) sends occurrence enumeration down the
-    /// paper's backbone scan.
-    fn link_children(&self) -> Option<LinkChildren<'_>> {
-        None
+    /// Whether this representation keeps the reverse-link children lists
+    /// of [`try_link_children`](Self::try_link_children). `true` sends
+    /// occurrence enumeration down the link walk; `false` (the default)
+    /// down the paper's backbone scan.
+    fn keeps_link_children(&self) -> bool {
+        false
+    }
+
+    /// Append to `out` the reverse-link children of `node` (the nodes whose
+    /// link points at `node`) whose link LEL is at least `min_lel`, in any
+    /// order, and return how many children were examined. Every non-root
+    /// node is the child of exactly one node, so the lists form a tree
+    /// rooted at [`crate::ROOT`]: the *reverse-link tree*. Called only when
+    /// [`keeps_link_children`](Self::keeps_link_children) holds; the
+    /// default reports [`Error::Unsupported`].
+    fn try_link_children(
+        &self,
+        _node: NodeId,
+        _min_lel: u32,
+        _out: &mut Vec<NodeId>,
+    ) -> Result<u64> {
+        Err(Error::Unsupported("reverse-link children lists"))
     }
 
     /// Bits per symbol of this representation's word-packed backbone

@@ -22,10 +22,10 @@ use strindex::{Code, Counters, Result};
 /// The partitioning property is purely structural, so restricting every
 /// rib/extrib to destinations ≤ `len` yields exactly the index of the
 /// length-`len` prefix over the reference, compact and disk layouts alike.
-/// The view keeps the default [`SpineOps::link_children`] and
-/// [`SpineOps::backbone_packing`] (`None`): the children lists and packed
-/// label words reach past the prefix, so queries locate scalar and
-/// enumerate by the backbone scan.
+/// The view keeps the defaults of [`SpineOps::keeps_link_children`]
+/// (`false`) and [`SpineOps::backbone_packing`] (`None`): the children
+/// lists and packed label words reach past the prefix, so queries locate
+/// scalar and enumerate by the backbone scan.
 pub struct PrefixView<'a, S: SpineOps + ?Sized> {
     inner: &'a S,
     len: NodeId,

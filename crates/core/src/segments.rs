@@ -10,9 +10,11 @@
 //!   the raw document codes). Memtable contents are volatile by design —
 //!   there is no write-ahead log; durability is bought at *seal* time.
 //! * At a size threshold the memtable is **sealed**: its live documents
-//!   become one immutable layout-v2 segment file (the
-//!   [`DiskSpine::build_sealed`] pipeline) plus a reopenable sidecar, and
-//!   a new [`Manifest`] naming the enlarged segment set is committed.
+//!   become one immutable sealed segment file (the
+//!   [`DiskSpine::build_sealed`] pipeline, built from the §5 compact
+//!   layout) plus a reopenable sidecar, and a new [`Manifest`] naming the
+//!   enlarged segment set is committed. Segments enumerate occurrences by
+//!   the link walk over the children lists their records store.
 //! * **Retires** of sealed documents become manifest *tombstones*;
 //!   retires of memtable documents just flip a volatile flag (the
 //!   document they hide is volatile too, so crash loses both together —
@@ -195,10 +197,12 @@ pub struct SegmentConfig {
     pub gate: Option<IoGate>,
     /// Buffer-pool frames to pin per sealed segment at open time, covering
     /// the upstream backbone-prefix pages (the paper's Figure 8 skew:
-    /// links concentrate there, so the occurrence scan of every query
-    /// re-reads them). Pinned pages survive full-backbone scans; 0
-    /// disables pinning. Must stay below `pool_pages` — the pool refuses
-    /// to pin its last evictable frame regardless.
+    /// links concentrate there, so the short patterns' first occurrences
+    /// and the top of their link subtrees live there, and every locate
+    /// passes through the root's record). Pinned pages survive eviction,
+    /// backbone scans included; 0 disables pinning. Must stay below
+    /// `pool_pages` — the pool refuses to pin its last evictable frame
+    /// regardless.
     pub hot_pin_pages: usize,
 }
 
@@ -763,7 +767,7 @@ impl SegmentedSpine {
         Ok(true)
     }
 
-    /// Write segment `id`'s pages file (sealed layout v2, synced) and
+    /// Write segment `id`'s pages file (sealed layout, synced) and
     /// sidecar. The files are not durable *state* until a manifest commit
     /// references them — a crash before that leaves them as orphans.
     fn build_segment(&self, id: u64, docs: &[(u64, Vec<Code>)]) -> Result<Segment> {
@@ -1084,7 +1088,7 @@ impl SegmentedSpine {
 
 /// Queries resolve against a snapshot, component by component: the
 /// memtable and each segment run the shared single-backbone batch path
-/// (locate once, one backbone scan per component), then concatenation
+/// (locate each pattern, then one link walk per located pattern), then concatenation
 /// ends are localized to `(doc, offset)`, filtered through the snapshot's
 /// tombstones and retired flags, and merged. Failures are per-pattern: a
 /// storage fault in one segment fails the patterns it was resolving, not

@@ -29,6 +29,7 @@ cargo test -q --workspace
 
 echo "== occurrence enumeration: reverse-link walk vs the paper's backbone scan (proptest)"
 cargo test -q --test differential link_walk_equals_backbone_scan
+cargo test -q --test differential sealed_walk_equals_backbone_scan
 cargo test -q -p spine --lib occurrences
 cargo test -q -p spine --lib prefix
 
@@ -78,6 +79,8 @@ cargo test -q -p pagestore slotted
 cargo test -q -p spine disk::
 cargo test -q --test layout_v2
 cargo test -q --test differential packed_scan
+cargo test -q -p spine --lib compact::
+cargo test -q -p spine --test properties compact_layout_is_equivalent
 
 echo "== exp scale --quick --check (load harness: curve coverage vs committed BENCH_scale.json)"
 tmp_scale=$(mktemp)

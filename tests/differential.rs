@@ -23,15 +23,11 @@ use suffix_array::SaIndex;
 use suffix_tree::SuffixTree;
 use suffix_trie::NaiveIndex;
 
-/// Every single-string engine in the workspace, built over one text. The
-/// compact layout caps alphabets at 253 symbols (slot kinds 0xFE/0xFF are
-/// markers), so it sits out for the raw-bytes alphabet.
+/// Every single-string engine in the workspace, built over one text.
 fn engines(a: &Alphabet, text: &[Code]) -> Vec<(&'static str, Box<dyn MatchingIndex>)> {
     let mut built: Vec<(&'static str, Box<dyn MatchingIndex>)> =
         vec![("spine", Box::new(Spine::build(a.clone(), text).unwrap()))];
-    if a.code_space() < 0xFE {
-        built.push(("compact-spine", Box::new(CompactSpine::build(a.clone(), text).unwrap())));
-    }
+    built.push(("compact-spine", Box::new(CompactSpine::build(a.clone(), text).unwrap())));
     built.push((
         "disk-spine",
         Box::new(
@@ -566,7 +562,7 @@ fn assert_walk_equals_scan<S: spine::SpineOps>(tag: &str, s: &S, pats: &[Vec<Cod
     use spine::occurrences::{
         backbone_scan_batch, backbone_scan_ends, find_all_ends, find_all_ends_batch, Target,
     };
-    assert!(s.link_children().is_some(), "{tag}: must keep children lists");
+    assert!(s.keeps_link_children(), "{tag}: must keep children lists");
     let mut targets = Vec::new();
     for p in pats {
         let scanned = backbone_scan_ends(s, p);
@@ -620,6 +616,89 @@ proptest! {
             }
             g.add_document(&[]).unwrap();
             assert_walk_equals_scan("generalized", &g, &pats);
+        }
+    }
+}
+
+/// A scratch path for the sealed-walk reopen round-trips.
+fn walk_tmp(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("spine-sealed-walk-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!("{tag}-{}", std::process::id()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Sealed segments enumerate by the link walk over the reverse-link
+    /// children stored in their records. It must equal the backbone scan
+    /// over the same sealed index — one pattern at a time and batched —
+    /// over DNA, protein and bytes; on the empty and length-1 prefixes; on
+    /// separator-joined documents (the shape every segment has); after a
+    /// sidecar reopen from a real file; and after a re-seal.
+    #[test]
+    fn sealed_walk_equals_backbone_scan(
+        alpha in 0usize..3,
+        shape in 0usize..4,
+        len in 0usize..120,
+        seed in 0u64..1 << 48,
+    ) {
+        use pagestore::FileDevice;
+        let a = [Alphabet::dna(), Alphabet::protein(), Alphabet::bytes()][alpha].clone();
+        let text = shaped_text(&a, shape, len, seed);
+        let mut docs = Vec::new();
+        let mut r = rng(seed ^ 0x5E9);
+        let mut at = 0;
+        while at < text.len() {
+            let end = (at + r.gen_range(0..=12usize)).min(text.len());
+            docs.extend_from_slice(&text[at..end]);
+            docs.push(a.separator());
+            at = end;
+        }
+        for (tag, t) in [
+            ("empty", &text[..0]),
+            ("len-1", &text[..text.len().min(1)]),
+            ("text", &text[..]),
+            ("documents", &docs[..]),
+        ] {
+            let pats = walk_patterns(&a, t, seed);
+            let sealed = DiskSpine::build_sealed(
+                a.clone(),
+                t,
+                Box::new(MemDevice::new()),
+                4,
+                Box::<Lru>::default(),
+            )
+            .unwrap();
+            assert_walk_equals_scan(tag, &sealed, &pats);
+
+            let resealed =
+                sealed.seal_to(Box::new(MemDevice::new()), 3, Box::<Lru>::default()).unwrap();
+            assert_walk_equals_scan(tag, &resealed, &pats);
+
+            let path = walk_tmp(tag);
+            let on_file = DiskSpine::build_sealed(
+                a.clone(),
+                t,
+                Box::new(FileDevice::create(&path, false).unwrap()),
+                4,
+                Box::<Lru>::default(),
+            )
+            .unwrap();
+            let mut meta = Vec::new();
+            on_file.write_meta(&mut meta).unwrap();
+            on_file.flush().unwrap();
+            drop(on_file);
+            let reopened = DiskSpine::reopen(
+                &mut meta.as_slice(),
+                Box::new(FileDevice::open(&path, false).unwrap()),
+                2,
+                Box::<Lru>::default(),
+            )
+            .unwrap();
+            assert_walk_equals_scan(tag, &reopened, &pats);
+            prop_assert_eq!(reopened.mem_breakdown(), sealed.mem_breakdown());
+            std::fs::remove_file(&path).ok();
         }
     }
 }

@@ -8,9 +8,9 @@
 //! every first-occurrence prefix end, and the final occurrence set from
 //! first principles) over random DNA / protein / raw-byte texts, and checks
 //! that the logical trace is identical across the in-memory, compact,
-//! and page-resident engines: event for event, with the reference layout's
-//! link-walk start read as the backbone scan it replaces
-//! ([`QueryTrace::logical_events`]).
+//! and page-resident engines: event for event, with a link-walk start (the
+//! reference layout and sealed indexes) read as the backbone scan it
+//! replaces ([`QueryTrace::logical_events`]).
 
 use genseq::rng;
 use pagestore::{Lru, MemDevice};
@@ -70,13 +70,14 @@ fn check_trace(tag: &str, trace: &QueryTrace, text: &[Code], pattern: &[Code]) {
 
 fn exercise(a: &Alphabet, text: &[Code], seed: u64) {
     let spine = Spine::build(a.clone(), text).unwrap();
-    let compact = (a.code_space() < 0xFE).then(|| CompactSpine::build(a.clone(), text).unwrap());
+    let compact = CompactSpine::build(a.clone(), text).unwrap();
     let disk =
         DiskSpine::build(a.clone(), text, Box::new(MemDevice::new()), 4, Box::<Lru>::default())
             .unwrap();
-    // The sealed layout-v2 engine. Traced walks always take the scalar
-    // path (the packed word compare has no per-step story to tell), so its
-    // structural trace must be event-identical to every other engine's.
+    // The sealed engine. Traced locates always take the scalar path (the
+    // packed word compare has no per-step story to tell), and it walks its
+    // stored children lists, so its structural trace must be
+    // event-identical to the reference layout's.
     let sealed = DiskSpine::build_sealed(
         a.clone(),
         text,
@@ -102,16 +103,14 @@ fn exercise(a: &Alphabet, text: &[Code], seed: u64) {
             None => vec![],
         };
         assert_eq!(starts(&t), walked, "spine must enumerate {pattern:?} by link walk");
-        if let Some(c) = &compact {
-            let tc = c.explain(&pattern);
-            check_trace("compact", &tc, text, &pattern);
-            assert_eq!(
-                tc.logical_events(),
-                t.logical_events(),
-                "compact trace diverges for {pattern:?}"
-            );
-            assert_eq!(tc.logical_events(), tc.structural_events(), "compact must scan");
-        }
+        let tc = compact.explain(&pattern);
+        check_trace("compact", &tc, text, &pattern);
+        assert_eq!(
+            tc.logical_events(),
+            t.logical_events(),
+            "compact trace diverges for {pattern:?}"
+        );
+        assert_eq!(tc.logical_events(), tc.structural_events(), "compact must scan");
         let td = disk.explain(&pattern);
         check_trace("disk", &td, text, &pattern);
         assert_eq!(td.logical_events(), t.logical_events(), "disk trace diverges for {pattern:?}");
@@ -119,15 +118,10 @@ fn exercise(a: &Alphabet, text: &[Code], seed: u64) {
         let (h, m) = td.page_fetches();
         assert!(h + m > 0, "disk trace for {pattern:?} reports no page fetches");
         let ts = sealed.explain(&pattern);
-        check_trace("disk-v2", &ts, text, &pattern);
-        assert_eq!(
-            ts.logical_events(),
-            t.logical_events(),
-            "sealed v2 trace diverges for {pattern:?}"
-        );
-        assert_eq!(ts.logical_events(), ts.structural_events(), "sealed v2 must scan");
+        check_trace("sealed", &ts, text, &pattern);
+        assert_eq!(ts.structural_events(), t.structural_events(), "sealed must walk {pattern:?}");
         let (h, m) = ts.page_fetches();
-        assert!(h + m > 0, "sealed v2 trace for {pattern:?} reports no page fetches");
+        assert!(h + m > 0, "sealed trace for {pattern:?} reports no page fetches");
     }
 }
 
@@ -260,7 +254,7 @@ fn heatmap_conserves_visit_counts() {
     assert!(heat.node_visits()[0] >= pats.len() as u64, "every trace visits the root");
 }
 
-/// Sealed layout v2 packs a *variable* number of records per slotted page,
+/// The sealed layout packs a *variable* number of records per slotted page,
 /// so heat must be attributed through the real node→page mapping, not a
 /// fixed `records_per_page` guess: the mapped fold conserves every visit
 /// and lands each one on a page the file actually contains.

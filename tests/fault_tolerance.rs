@@ -12,14 +12,15 @@
 //!   device hard-fails turns the affected queries into
 //!   [`QueryOutcome::Failed`], while a retry layer over a *transiently*
 //!   flaky device hides the faults entirely (answers match the in-memory
-//!   oracle).
+//!   oracle), and a sealed index whose device dies part-way through the
+//!   occurrence walk returns the typed error, never a partial answer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use pagestore::{FaultyDevice, FlakyDevice, Lru, MemDevice, RetryDevice, RetryPolicy};
+use pagestore::{FaultyDevice, FlakyDevice, Lru, MemDevice, PageDevice, RetryDevice, RetryPolicy};
 use spine::engine::{EngineConfig, QueryEngine, QueryOutcome, ShedPolicy, SubmitError};
 use spine::occurrences::{find_all_ends, try_find_all_ends};
 use spine::{DiskSpine, NodeId, Spine, SpineOps};
@@ -395,4 +396,48 @@ fn infallible_sugar_panics_where_try_surface_returns_err() {
             "panic must name the try_ surface: {msg}"
         );
     }
+}
+
+/// A sealed index walks the link subtree of the first occurrence, reading
+/// one record per occurrence through a 1-frame pool. Its device dies after
+/// every possible number of query reads in turn: each query returns either
+/// the exact answer or the typed I/O error — never a panic, never a partial
+/// answer — and the deaths that strike after the locate fail mid-walk.
+#[test]
+fn sealed_walk_over_a_dying_device_errs_cleanly() {
+    let a = Alphabet::dna();
+    let text = a.encode(&b"AACCACAACAGGTTACGACGACCA".repeat(40)).unwrap();
+    let ca = a.encode(b"CA").unwrap();
+    let oracle = find_all_ends(&Spine::build(a.clone(), &text).unwrap(), &ca);
+    let sealed = |dev: Box<dyn PageDevice>| {
+        DiskSpine::build_sealed(a.clone(), &text, dev, 1, Box::<Lru>::default()).unwrap()
+    };
+    let reads_of = |query: &dyn Fn(&DiskSpine)| {
+        let d = sealed(Box::new(MemDevice::new()));
+        let before = d.io_counts().0;
+        query(&d);
+        d.io_counts().0 - before
+    };
+    let locate_reads = reads_of(&|d| assert!(d.try_locate(&ca).unwrap().is_some()));
+    let query_reads = reads_of(&|d| assert_eq!(try_find_all_ends(d, &ca).unwrap(), oracle));
+    assert!(query_reads >= locate_reads + 2, "the walk must read pages of its own");
+    let clean = sealed(Box::new(MemDevice::new()));
+    let (r, w) = clean.io_counts();
+    let build_ops = r + w + clean.io_syncs();
+
+    let mut mid_walk = 0;
+    for k in 0..=query_reads {
+        let d = sealed(Box::new(FaultyDevice::new(MemDevice::new(), build_ops + k)));
+        match try_find_all_ends(&d, &ca) {
+            Ok(ends) => {
+                assert_eq!(k, query_reads, "a query that lost its device answered");
+                assert_eq!(ends, oracle);
+            }
+            Err(e) => {
+                assert!(matches!(e, Error::Io { ctx: Some(_), .. }), "typed I/O error: {e:?}");
+                mid_walk += u64::from(k >= locate_reads);
+            }
+        }
+    }
+    assert_eq!(mid_walk, query_reads - locate_reads);
 }

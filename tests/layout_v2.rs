@@ -264,8 +264,11 @@ fn v2_footprint_is_materially_smaller_than_v1() {
         v2_pages * 3 < v1_pages,
         "layout v2 must cut pages at least 3x: v1 {v1_pages} vs v2 {v2_pages}"
     );
+    // Format v3 records carry each node's reverse-link children (the link
+    // walk's lists). Measured: 16 pages, 16.38 bytes/node; the budget
+    // allows one page more (+1.02 bytes/node on this 4001-node text).
     let bytes_per_node = (v2_pages * PAGE_SIZE as u64) as f64 / (text.len() as f64 + 1.0);
-    assert!(bytes_per_node < 14.0, "on-disk bytes/node {bytes_per_node:.2} out of budget");
+    assert!(bytes_per_node < 17.5, "on-disk bytes/node {bytes_per_node:.2} out of budget");
 }
 
 proptest! {

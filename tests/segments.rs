@@ -298,3 +298,80 @@ fn segments_pin_hot_pages_and_report_the_gauge() {
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir2);
 }
+
+/// Sealed segments enumerate by the link walk over their stored children
+/// lists. Summed over every segment and the memtable, the walk examines at
+/// most two children per occurrence it reports.
+#[test]
+fn link_walk_visits_at_most_two_children_per_occurrence() {
+    use spine::engine::ServeIndex;
+
+    let a = Alphabet::dna();
+    let dir = tmpdir("visits");
+    let cfg =
+        SegmentConfig { memtable_max_symbols: 4096, merge_min_segments: 8, ..Default::default() };
+    let store = SegmentedSpine::create(a.clone(), &dir, cfg).unwrap();
+    let mut r = genseq::rng(0x715175);
+    let model = genseq::MarkovModel::random(&a, 3, 0.35, &mut r);
+    let docs: Vec<Vec<Code>> = (0..9).map(|_| model.sample(1500, &mut r)).collect();
+    for d in &docs {
+        store.add_document(d).unwrap();
+    }
+    assert!(store.stats().segments >= 2, "most documents must sit in sealed segments");
+    let pats: Vec<Vec<Code>> =
+        (0..40).map(|i| docs[i % 9][i * 31..i * 31 + 4 + i % 5].to_vec()).collect();
+    let before = store.counters_snapshot();
+    let occ: usize = pats.iter().map(|p| store.try_find_all(p).unwrap().len()).sum();
+    let visits = store.counters_snapshot().since(&before).children_visited;
+    assert!(occ > 200, "the patterns must hit often: {occ}");
+    assert!(visits > 0 && visits <= 2 * occ as u64, "{visits} child visits for {occ} occurrences");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store whose segments were sealed in format v2 (records without
+/// reverse-link children) must be rebuilt: opening it reports the typed
+/// version error — by sidecar or by page header — and never panics.
+#[test]
+fn opening_a_v2_store_reports_rebuild_required() {
+    use spine::DISK_FORMAT_VERSION;
+    use strindex::Error;
+
+    let a = Alphabet::dna();
+    let dir = tmpdir("v2-store");
+    {
+        let store = SegmentedSpine::create(a.clone(), &dir, SegmentConfig::default()).unwrap();
+        store.add_document(&enc(&a, b"ACGTACGGTACC")).unwrap();
+        store.force_seal().unwrap();
+    }
+    let with_ext = |ext: &str| {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == ext))
+            .unwrap()
+    };
+    let (meta, pages) = (with_ext("meta"), with_ext("pages"));
+    // v2 wrote the same sidecar prefix and header fields: stamping version
+    // 2 where v3 writes its version reproduces a v2 artifact.
+    let stamp = |path: &std::path::Path, at: usize, version: u16| {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[at..at + 2].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(path, bytes).unwrap();
+    };
+    let header_version_at = pagestore::slotted::PAGE_HEADER_LEN + 4;
+    for (path, at) in [(&meta, 4), (&pages, header_version_at)] {
+        stamp(path, at, 2);
+        let err = SegmentedSpine::open(a.clone(), &dir, SegmentConfig::default())
+            .err()
+            .expect("a v2 segment must not open");
+        assert!(
+            matches!(err, Error::FormatVersion { found: 2, expected: 3 }),
+            "want the typed version mismatch, got {err:?}"
+        );
+        assert!(err.to_string().contains("rebuild required"), "{err}");
+        stamp(path, at, DISK_FORMAT_VERSION);
+    }
+    let store = SegmentedSpine::open(a.clone(), &dir, SegmentConfig::default()).unwrap();
+    assert_eq!(matches_of(&store, &enc(&a, b"GGTA")), vec![(0, 6)]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
