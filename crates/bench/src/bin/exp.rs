@@ -762,9 +762,8 @@ fn serve(opts: &Opts) {
     );
 
     // The disk engine's hot-page tier, before and after, at one fixed pool
-    // size: plain sealed file under LRU vs heat-clustered file under the
-    // scan-resistant policy with the hottest pages pinned and scan prefetch
-    // on. Pages/query is the honest device-fetch count (prefetch included).
+    // size: plain sealed file vs heat-clustered file with the hottest pages
+    // pinned, both under LRU. Pages/query is the device-fetch count.
     let dd = Dataset::generate("eco-sim", opts.scale.min(0.005));
     let pool = pool_pages(dd.seq.len(), SPINE_V2_REC);
     let scratch = DiskSpine::build(
@@ -785,12 +784,7 @@ fn serve(opts: &Opts) {
     }
     let hot = spine::HotSet::from_heatmap(&heat, 512);
     let tiered = scratch
-        .seal_to_clustered(
-            Box::new(MemDevice::new()),
-            pool,
-            Box::<pagestore::SegmentedLru>::default(),
-            &hot,
-        )
+        .seal_to_clustered(Box::new(MemDevice::new()), pool, Box::<Lru>::default(), &hot)
         .unwrap();
     let pinned = tiered.pin_hot(&hot, (pool / 4).max(1)).unwrap();
 
@@ -811,8 +805,7 @@ fn serve(opts: &Opts) {
                 .cell("queries", probes.len() as f64)
                 .cell("pages/query", misses as f64 / probes.len().max(1) as f64)
                 .cell("hit-rate-%", 100.0 * (accesses - misses) as f64 / accesses.max(1) as f64)
-                .cell("pinned", if name == "hot-tier" { pinned as f64 } else { 0.0 })
-                .cell("prefetch-hits", (after.prefetch_hits - before.prefetch_hits) as f64),
+                .cell("pinned", if name == "hot-tier" { pinned as f64 } else { 0.0 }),
         );
     }
     print_table(
@@ -1062,19 +1055,11 @@ fn serve_http(opts: &Opts, port: u16) {
     .unwrap();
     eprintln!("build[disk]:   {}", disk_stats.summary());
     register_build_gauges(&registry, "disk", &disk_stats);
-    let disk = Arc::new(disk);
     let probe: Vec<strindex::Code> = dd.seq[..dd.seq.len().min(12)].to_vec();
 
-    // Satellite gauges: stats that previously lived only in ad-hoc
-    // snapshot structs, now first-class on /metrics. The probe pool's
-    // wasted prefetches read live; the heatmap is the primed workload's
-    // trace attribution over the serving index.
-    {
-        let disk = Arc::clone(&disk);
-        registry.labeled_gauge("pool.prefetch_wasted", &[("pool", "probe-disk")], move || {
-            disk.pool_stats().prefetch_waste
-        });
-    }
+    // Satellite gauge: a stat that previously lived only in an ad-hoc
+    // snapshot struct, now first-class on /metrics. The heatmap is the
+    // primed workload's trace attribution over the serving index.
     {
         let mut heat = spine::Heatmap::new(d.seq.len());
         for w in workload.iter().take(64) {
@@ -1569,8 +1554,8 @@ fn bench_snapshot(opts: &Opts) {
     // hot-page tier at a fixed pool size. The pipeline mirrors production:
     // seal plain, learn the hot set from a profiling pass, re-seal with the
     // hot records clustered onto dedicated pages, pin the hottest pages, and
-    // answer the measured pass with scan prefetch under the scan-resistant
-    // policy — every engine at the same `pool` capacity.
+    // answer the measured pass under LRU — every engine at the same `pool`
+    // capacity.
     let dd = Dataset::generate("eco-sim", scale.min(0.005));
     let pool = pool_pages(dd.seq.len(), SPINE_V2_REC);
     let scratch = DiskSpine::build(
@@ -1590,12 +1575,7 @@ fn bench_snapshot(opts: &Opts) {
     }
     let hot = spine::HotSet::from_heatmap(&heat, 512);
     let disk = scratch
-        .seal_to_clustered(
-            Box::new(MemDevice::new()),
-            pool,
-            Box::<pagestore::SegmentedLru>::default(),
-            &hot,
-        )
+        .seal_to_clustered(Box::new(MemDevice::new()), pool, Box::<Lru>::default(), &hot)
         .unwrap();
     assert!(disk.is_sealed(), "bench disk phase must serve from the sealed layout");
     let pinned = disk.pin_hot(&hot, (pool / 4).max(1)).unwrap();
@@ -1609,14 +1589,11 @@ fn bench_snapshot(opts: &Opts) {
     let ps = disk.pool_stats();
     eprintln!(
         "disk pool (cap {pool}, {pinned} pinned, {} hot-tier pages): {} hits / {} misses \
-         ({:.1}% hit rate), {} prefetched ({} hits, {} wasted)",
+         ({:.1}% hit rate)",
         disk.hot_tier_pages(),
         ps.hits,
         ps.misses,
         100.0 * ps.hits as f64 / (ps.hits + ps.misses).max(1) as f64,
-        ps.prefetched,
-        ps.prefetch_hits,
-        ps.prefetch_waste
     );
 
     // Disk-engine latency: the same serving engine the in-memory phase used,

@@ -79,13 +79,6 @@ pub const DISK_FORMAT_VERSION: u16 = 3;
 /// Packed 64-bit label words per label page (after the page header).
 const WORDS_PER_PAGE: usize = (PAGE_SIZE - slotted::PAGE_HEADER_LEN) / 8;
 
-/// Sequential read-ahead depth while a backbone scan is active: on a
-/// demand miss the pool pulls this many following pages in the same trip
-/// ([`BufferPool::set_read_ahead`]). Sealed pools only — the backbone scan
-/// of §4 ([`crate::occurrences::backbone_scan_ends`]) strides node pages in
-/// order, so the next pages are known; the link walk sends no scan hint.
-const SCAN_READ_AHEAD: usize = 4;
-
 /// Byte offsets within a *mutable-layout* node record (little-endian):
 /// `cl:1 | link:4 | lel:4 | rib_count:1 | ribs: R×(cl 1, dest 4, pt 4) |
 /// extrib_count:1 | extribs: 2×(dest 4, pt 4, prt 4)`.
@@ -467,13 +460,6 @@ struct SealedStore {
 }
 
 impl SealedStore {
-    /// Base node page of `node`, ignoring hot-tier overrides (sequential
-    /// scans stride the base pages in order).
-    fn base_node_page(&self, node: u32) -> u32 {
-        let pi = self.first_nodes.partition_point(|&f| f <= node) - 1;
-        1 + self.label_pages + pi as u32
-    }
-
     /// `(page id, slot)` of `node`'s record, hot tier first.
     fn node_page(&self, node: u32) -> (u32, usize) {
         if let Some(&(page, slot)) = self.hot_index.get(&node) {
@@ -924,7 +910,6 @@ impl DiskSpine {
         })?;
         pool.sync()?;
 
-        pool.set_read_ahead(SCAN_READ_AHEAD);
         Ok(DiskSpine {
             layout: Layout::new(&alphabet),
             alphabet,
@@ -1069,32 +1054,8 @@ impl DiskSpine {
         self.store.lock().pool().pinned_count()
     }
 
-    /// Prefetch the pages serving `nodes` (deduplicated) into the pool in
-    /// one batch, ahead of a traversal that will touch them. Best-effort:
-    /// returns the number of pages actually loaded from the device (already
-    /// resident or unpinnable frames load nothing).
-    pub fn prefetch_nodes(&self, nodes: &[NodeId]) -> Result<usize> {
-        let map = self.page_map();
-        let mut pages: Vec<u32> = Vec::new();
-        for &node in nodes {
-            if node as usize > self.len {
-                continue;
-            }
-            let p = map.page_of(node);
-            if !pages.contains(&p) {
-                pages.push(p);
-            }
-        }
-        let mut guard = self.store.lock();
-        let pool = match &mut *guard {
-            Store::Mutable(v) => v.pool_mut(),
-            Store::Sealed(s) => &mut s.pool,
-        };
-        pool.fetch_many(pages)
-    }
-
     /// Snapshot of the buffer pool's cache counters (hits, misses,
-    /// evictions, pins, prefetch accounting).
+    /// evictions, pins).
     pub fn pool_stats(&self) -> CacheStatsSnapshot {
         self.store.lock().pool().stats_handle().snapshot()
     }
@@ -1619,29 +1580,6 @@ impl SpineOps for DiskSpine {
             Store::Mutable(_) => Err(Error::Unsupported("link children of a mutable index")),
         }
     }
-
-    fn scan_begin(&self, from: NodeId) {
-        let mut guard = self.store.lock();
-        match &mut *guard {
-            Store::Sealed(s) => {
-                s.pool.begin_scan();
-                // Pull the first window of node pages ahead of the scan;
-                // read-ahead keeps the window rolling from there. Advisory:
-                // a prefetch failure just means the scan faults normally.
-                let first = s.base_node_page(from.min(self.len as u32));
-                let end = 1 + s.label_pages + s.node_pages;
-                let _ = s.pool.fetch_many((first..end).take(SCAN_READ_AHEAD));
-            }
-            Store::Mutable(v) => v.pool_mut().begin_scan(),
-        }
-    }
-
-    fn scan_end(&self) {
-        match &mut *self.store.lock() {
-            Store::Sealed(s) => s.pool.end_scan(),
-            Store::Mutable(v) => v.pool_mut().end_scan(),
-        }
-    }
 }
 
 impl OnlineIndex for DiskSpine {
@@ -1887,7 +1825,6 @@ impl DiskSpine {
             Ok(())
         })??;
 
-        pool.set_read_ahead(SCAN_READ_AHEAD);
         let per_word = (64 / bits) as usize;
         Ok(DiskSpine {
             layout: Layout::new(&alphabet),
@@ -2159,10 +2096,19 @@ mod tests {
     }
 
     #[test]
-    fn occurrence_scan_prefetches_and_scores_hits() {
-        let text = b"ACGTACGGTACGTTTACGACGACCAACC".repeat(512);
+    fn link_walk_reads_fewer_pages_than_the_backbone_scan() {
+        // A pseudo-random text, so a 12-mer from its start occurs a handful
+        // of times while the scan still strides the whole backbone.
+        let mut x = 0x9E37_79B9_u32;
+        let codes: Vec<Code> = (0..16_384)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 30) as Code
+            })
+            .collect();
         let a = Alphabet::dna();
-        let codes = a.encode(&text).unwrap();
         let sealed = DiskSpine::build_sealed(
             a.clone(),
             &codes,
@@ -2171,39 +2117,17 @@ mod tests {
             Box::<Lru>::default(),
         )
         .unwrap();
-        // The paper's backbone scan still sends the scan hints on a sealed
-        // index; the link walk, which serves queries, sends none.
-        let p = a.encode(b"ACGT").unwrap();
-        assert!(!sealed.try_find_all(&p).unwrap().is_empty());
-        assert_eq!(sealed.pool_stats().prefetched, 0, "the walk reads no pages ahead");
-        assert!(!crate::occurrences::backbone_scan_ends(&sealed, &p).is_empty());
-        let st = sealed.pool_stats();
-        assert!(st.prefetched > 0, "the backbone scan must prefetch ahead: {st:?}");
-        assert!(st.prefetch_hits > 0, "prefetched pages must be consumed: {st:?}");
-    }
-
-    #[test]
-    fn prefetch_nodes_warms_the_pool() {
-        let text = b"AACCACAACAGGTTACGACGACCA".repeat(512);
-        let a = Alphabet::dna();
-        let codes = a.encode(&text).unwrap();
-        let sealed = DiskSpine::build_sealed(
-            a.clone(),
-            &codes,
-            Box::new(MemDevice::new()),
-            8,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        let nodes: Vec<NodeId> = (0..sealed.len() as NodeId).step_by(97).collect();
-        let loaded = sealed.prefetch_nodes(&nodes).unwrap();
-        assert!(loaded > 0, "cold pool: prefetch must load pages");
-        // Prefetching pages that are still resident is a no-op. The big sweep
-        // above evicted its own early pages (file >> pool), so re-check with a
-        // small set that fits the pool: load it, then load it again.
-        let warm = &nodes[nodes.len() - 2..];
-        sealed.prefetch_nodes(warm).unwrap();
-        assert_eq!(sealed.prefetch_nodes(warm).unwrap(), 0);
+        // Demand-only pool: each path pays exactly the pages it touches.
+        let p = &codes[100..112];
+        let before = sealed.pool_stats().misses;
+        let walk = crate::occurrences::try_find_all_ends(&sealed, p).unwrap();
+        let walk_misses = sealed.pool_stats().misses - before;
+        let before = sealed.pool_stats().misses;
+        let scan = crate::occurrences::backbone_scan_ends(&sealed, p);
+        let scan_misses = sealed.pool_stats().misses - before;
+        assert!(!walk.is_empty());
+        assert_eq!(walk, scan, "the walk must answer what the reference scan does");
+        assert!(walk_misses < scan_misses, "walk read {walk_misses} pages, scan {scan_misses}");
     }
 
     #[test]

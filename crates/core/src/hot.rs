@@ -10,8 +10,8 @@
 //!   striding the whole node table.
 //! * [`crate::DiskSpine::pin_hot`] / [`crate::DiskSpine::pin_hot_prefix`]
 //!   pin the pages holding the hot set into the buffer pool at open time,
-//!   so neither occurrence walks nor backbone scans (under a
-//!   scan-resistant policy) can flush them.
+//!   so no other page traffic, occurrence walks and backbone scans
+//!   included, can evict them.
 //!
 //! Without traces there is still a principled default: the paper's Figure 8
 //! shows link destinations concentrating on the *upstream* part of the

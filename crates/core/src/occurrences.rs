@@ -148,7 +148,6 @@ fn try_backbone_scan_traced<S: SpineOps + ?Sized, T: TraceSink + ?Sized>(
         sink.event(TraceEvent::ScanStart { from: first + 1, to: n, len });
     }
     let before = if T::ENABLED { s.storage_counters() } else { None };
-    let _scan = ScanGuard::enter(s, first + 1);
     let mut buffer: Vec<NodeId> = vec![first];
     for j in first + 1..=n {
         let (dest, lel) = s.try_link_of(j)?;
@@ -163,24 +162,6 @@ fn try_backbone_scan_traced<S: SpineOps + ?Sized, T: TraceSink + ?Sized>(
         sink.event(e);
     }
     Ok(buffer)
-}
-
-/// Pairs [`SpineOps::scan_begin`] with a guaranteed
-/// [`SpineOps::scan_end`], so an `Err` mid-scan cannot leave a
-/// page-resident structure stuck in scan mode.
-struct ScanGuard<'a, S: SpineOps + ?Sized>(&'a S);
-
-impl<'a, S: SpineOps + ?Sized> ScanGuard<'a, S> {
-    fn enter(s: &'a S, from: NodeId) -> Self {
-        s.scan_begin(from);
-        ScanGuard(s)
-    }
-}
-
-impl<S: SpineOps + ?Sized> Drop for ScanGuard<'_, S> {
-    fn drop(&mut self) {
-        self.0.scan_end();
-    }
 }
 
 /// One pattern of a batched all-occurrences request.
@@ -256,7 +237,6 @@ fn try_backbone_scan_batch<S: SpineOps + ?Sized>(
     }
     let start = uniq.iter().map(|t| t.first_end).min().unwrap() + 1;
     let n = s.text_len() as NodeId;
-    let _scan = ScanGuard::enter(s, start);
     for j in start..=n {
         let (dest, lel) = s.try_link_of(j)?;
         let Some(hits) = buffered.get(&dest) else {

@@ -27,9 +27,8 @@
 //! under the first occurrence; the §5 compact layout, the mutable
 //! [`crate::DiskSpine`] and [`crate::PrefixView`] keep none and run the
 //! paper's backbone scan. [`SpineOps::backbone_packing`] enables the
-//! word-packed locate, [`SpineOps::storage_counters`] feeds page
-//! attribution to traces, and [`SpineOps::scan_begin`]/[`SpineOps::scan_end`]
-//! bracket backbone scans for page-resident buffer pools.
+//! word-packed locate, and [`SpineOps::storage_counters`] feeds page
+//! attribution to traces.
 
 use crate::node::NodeId;
 use strindex::{Code, Counters, Error, PackedText, Result};
@@ -120,18 +119,6 @@ pub trait SpineOps {
     fn storage_counters(&self) -> Option<(u64, u64)> {
         None
     }
-
-    /// The traversal is about to scan the backbone sequentially from node
-    /// `from` to the tail (the occurrence scan of §4). Page-resident
-    /// representations switch their buffer pool into scan mode here —
-    /// scan-resistant eviction plus sequential read-ahead — and prefetch
-    /// the first link pages of the range; in-memory structures ignore it.
-    /// Purely advisory: never fails, never changes answers.
-    fn scan_begin(&self, _from: NodeId) {}
-
-    /// The sequential scan announced by [`scan_begin`](Self::scan_begin)
-    /// ended (including by error — callers pair the two with a guard).
-    fn scan_end(&self) {}
 
     /// [`try_vertebra_out`](Self::try_vertebra_out), panicking on a storage error.
     #[inline]

@@ -199,10 +199,9 @@ pub struct SegmentConfig {
     /// the upstream backbone-prefix pages (the paper's Figure 8 skew:
     /// links concentrate there, so the short patterns' first occurrences
     /// and the top of their link subtrees live there, and every locate
-    /// passes through the root's record). Pinned pages survive eviction,
-    /// backbone scans included; 0 disables pinning. Must stay below
-    /// `pool_pages` — the pool refuses to pin its last evictable frame
-    /// regardless.
+    /// passes through the root's record). Pinned pages are never evicted;
+    /// 0 disables pinning. Must stay below `pool_pages` — the pool refuses
+    /// to pin its last evictable frame regardless.
     pub hot_pin_pages: usize,
 }
 

@@ -6,11 +6,6 @@
 //! simple policy is "retain as much as possible of the top part of the Link
 //! Table in memory" — i.e. always evict the page holding the
 //! highest-numbered records.
-//!
-//! [`SegmentedLru`] is the scan-resistant default for the hot-page tier: a
-//! page must be touched *twice* (outside a scan) before it earns a slot in
-//! the protected segment, so a one-pass occurrence scan over the whole link
-//! table cannot flush the hot set the way plain LRU lets it.
 
 /// Chooses which frame to evict. Frames are dense indices `0..capacity`;
 /// the pool reports every access and load.
@@ -24,27 +19,13 @@ pub trait EvictionPolicy: Send {
     /// `page` was loaded into `frame` (after a miss or initial fill).
     fn on_load(&mut self, frame: usize, page: u32);
 
-    /// The pool entered (`true`) or left (`false`) a sequential-scan phase.
-    /// Scan-resistant policies use this to keep one-pass traffic out of
-    /// their protected set; the rest ignore it.
-    fn scan_hint(&mut self, _active: bool) {}
-
-    /// The pool announces its frame capacity once at construction, before
-    /// any load. Policies that size internal segments against the full
-    /// pool (not just the frames allocated so far) use it.
-    fn capacity_hint(&mut self, _frames: usize) {}
-
-    /// Pick the frame to evict. `pinned[f]` is true for frames the pool
+    /// Pick the frame to evict. `pinned(f)` is true for frames the pool
     /// must keep resident; return `None` only when every frame is pinned.
     /// All frames are occupied when called.
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize>;
+    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize>;
 
     /// Human-readable name for experiment output.
     fn name(&self) -> &'static str;
-}
-
-fn unpinned(pinned: &[bool], frame: usize) -> bool {
-    !pinned.get(frame).copied().unwrap_or(false)
 }
 
 /// Least-recently-used (timestamp scan).
@@ -68,11 +49,11 @@ impl EvictionPolicy for Lru {
         self.stamp[frame] = self.clock;
     }
 
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
+    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize> {
         self.stamp
             .iter()
             .enumerate()
-            .filter(|&(i, _)| unpinned(pinned, i))
+            .filter(|&(i, _)| !pinned(i))
             .min_by_key(|&(_, &s)| s)
             .map(|(i, _)| i)
     }
@@ -100,11 +81,11 @@ impl EvictionPolicy for Fifo {
         self.loaded[frame] = self.clock;
     }
 
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
+    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize> {
         self.loaded
             .iter()
             .enumerate()
-            .filter(|&(i, _)| unpinned(pinned, i))
+            .filter(|&(i, _)| !pinned(i))
             .min_by_key(|&(_, &s)| s)
             .map(|(i, _)| i)
     }
@@ -133,10 +114,8 @@ impl EvictionPolicy for Clock {
         self.referenced[frame] = true;
     }
 
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
-        if !pinned.iter().take(self.referenced.len()).any(|&p| !p)
-            && pinned.len() >= self.referenced.len()
-        {
+    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize> {
+        if (0..self.referenced.len()).all(pinned) {
             return None;
         }
         // Two full sweeps bound the search: the first clears reference
@@ -148,7 +127,7 @@ impl EvictionPolicy for Clock {
             }
             let f = self.hand;
             self.hand += 1;
-            if !unpinned(pinned, f) {
+            if pinned(f) {
                 continue;
             }
             if self.referenced[f] {
@@ -186,11 +165,11 @@ impl EvictionPolicy for PrefixPriority {
         self.pages[frame] = page;
     }
 
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
+    fn victim(&mut self, pinned: &dyn Fn(usize) -> bool) -> Option<usize> {
         self.pages
             .iter()
             .enumerate()
-            .filter(|&(i, _)| unpinned(pinned, i))
+            .filter(|&(i, _)| !pinned(i))
             .max_by_key(|&(_, &p)| p)
             .map(|(i, _)| i)
     }
@@ -200,100 +179,16 @@ impl EvictionPolicy for PrefixPriority {
     }
 }
 
-/// Scan-resistant segmented LRU.
-///
-/// Frames live in one of two segments. A freshly loaded page enters the
-/// *probationary* segment; a re-access promotes it to the *protected*
-/// segment (capped at 4/5 of the frames, LRU-demoted back to probationary
-/// when over). Victims come from the probationary segment first, so pages
-/// touched exactly once — the signature of a sequential occurrence scan —
-/// recycle among themselves while the twice-touched hot set survives.
-/// During a [`scan_hint`](EvictionPolicy::scan_hint) phase promotions are
-/// suppressed entirely: even a page the scan touches repeatedly cannot
-/// displace protected members.
-#[derive(Default)]
-pub struct SegmentedLru {
-    clock: u64,
-    stamp: Vec<u64>,
-    protected: Vec<bool>,
-    scanning: bool,
-    capacity: usize,
-}
-
-impl SegmentedLru {
-    fn protected_cap(&self) -> usize {
-        // Sized against the full pool (capacity_hint), not the frames
-        // allocated so far, or early promotions demote each other during
-        // warmup. At least one protected slot in any case.
-        ((self.capacity.max(self.stamp.len()) * 4) / 5).max(1)
-    }
-
-    fn demote_lru_protected(&mut self) {
-        if let Some(f) = self
-            .protected
-            .iter()
-            .enumerate()
-            .filter(|&(_, &p)| p)
-            .min_by_key(|&(i, _)| self.stamp[i])
-            .map(|(i, _)| i)
-        {
-            self.protected[f] = false;
-        }
-    }
-}
-
-impl EvictionPolicy for SegmentedLru {
-    fn on_access(&mut self, frame: usize, _page: u32) {
-        self.clock += 1;
-        self.stamp[frame] = self.clock;
-        if !self.protected[frame] && !self.scanning {
-            self.protected[frame] = true;
-            if self.protected.iter().filter(|&&p| p).count() > self.protected_cap() {
-                self.demote_lru_protected();
-            }
-        }
-    }
-
-    fn on_load(&mut self, frame: usize, _page: u32) {
-        if self.stamp.len() <= frame {
-            self.stamp.resize(frame + 1, 0);
-            self.protected.resize(frame + 1, false);
-        }
-        self.clock += 1;
-        self.stamp[frame] = self.clock;
-        self.protected[frame] = false;
-    }
-
-    fn scan_hint(&mut self, active: bool) {
-        self.scanning = active;
-    }
-
-    fn capacity_hint(&mut self, frames: usize) {
-        self.capacity = frames;
-    }
-
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
-        let lru_of = |want_protected: bool, this: &Self| {
-            this.stamp
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| this.protected[i] == want_protected && unpinned(pinned, i))
-                .min_by_key(|&(_, &s)| s)
-                .map(|(i, _)| i)
-        };
-        lru_of(false, self).or_else(|| lru_of(true, self))
-    }
-
-    fn name(&self) -> &'static str {
-        "segmented-lru"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const NONE_PINNED: &[bool] = &[false; 8];
+    const NONE_PINNED: &dyn Fn(usize) -> bool = &|_| false;
+
+    /// A pin-state closure over an explicit per-frame mask.
+    fn pinned(mask: &[bool]) -> impl Fn(usize) -> bool + '_ {
+        move |f| mask[f]
+    }
 
     #[test]
     fn lru_evicts_least_recent() {
@@ -310,8 +205,8 @@ mod tests {
         let mut p = Lru::default();
         p.on_load(0, 10);
         p.on_load(1, 11);
-        assert_eq!(p.victim(&[true, false]), Some(1));
-        assert_eq!(p.victim(&[true, true]), None);
+        assert_eq!(p.victim(&pinned(&[true, false])), Some(1));
+        assert_eq!(p.victim(&pinned(&[true, true])), None);
     }
 
     #[test]
@@ -339,8 +234,8 @@ mod tests {
         let mut p = Clock::default();
         p.on_load(0, 1);
         p.on_load(1, 2);
-        assert_eq!(p.victim(&[true, false]), Some(1));
-        assert_eq!(p.victim(&[true, true]), None);
+        assert_eq!(p.victim(&pinned(&[true, false])), Some(1));
+        assert_eq!(p.victim(&pinned(&[true, true])), None);
     }
 
     #[test]
@@ -350,60 +245,5 @@ mod tests {
         p.on_load(1, 99);
         p.on_load(2, 7);
         assert_eq!(p.victim(NONE_PINNED), Some(1));
-    }
-
-    #[test]
-    fn slru_promotes_on_reaccess_and_evicts_probationary_first() {
-        let mut p = SegmentedLru::default();
-        for f in 0..5 {
-            p.on_load(f, f as u32);
-        }
-        p.on_access(0, 0); // frame 0 → protected
-                           // Frame 1 is the LRU *probationary* frame; frame 0 survives even
-                           // though nothing else was touched since.
-        assert_eq!(p.victim(NONE_PINNED), Some(1));
-    }
-
-    #[test]
-    fn slru_scan_hint_suppresses_promotion() {
-        let mut p = SegmentedLru::default();
-        for f in 0..4 {
-            p.on_load(f, f as u32);
-        }
-        p.on_access(0, 0); // promoted before the scan
-        p.scan_hint(true);
-        p.on_access(1, 1); // scan re-touch: stays probationary
-        p.on_access(2, 2);
-        p.scan_hint(false);
-        // LRU probationary is frame 3 (loaded last but never re-accessed
-        // after 1 and 2 were re-stamped) — frame 0 stays protected.
-        let v = p.victim(NONE_PINNED).unwrap();
-        assert_ne!(v, 0, "protected frame evicted despite probationary candidates");
-    }
-
-    #[test]
-    fn slru_protected_cap_demotes_lru_member() {
-        let mut p = SegmentedLru::default();
-        for f in 0..5 {
-            p.on_load(f, f as u32);
-        }
-        // Cap is 4/5·5 = 4: promoting a fifth frame demotes the LRU one.
-        for f in 0..5 {
-            p.on_access(f, f as u32);
-        }
-        assert_eq!(p.protected.iter().filter(|&&x| x).count(), 4);
-        assert!(!p.protected[0], "oldest promotion should have been demoted");
-    }
-
-    #[test]
-    fn slru_falls_back_to_protected_when_no_probationary() {
-        let mut p = SegmentedLru::default();
-        p.on_load(0, 0);
-        p.on_load(1, 1);
-        p.on_access(0, 0);
-        p.on_access(1, 1);
-        // Both protected: must still yield a victim.
-        assert_eq!(p.victim(NONE_PINNED), Some(0));
-        assert_eq!(p.victim(&[true, true]), None);
     }
 }

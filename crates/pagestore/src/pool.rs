@@ -1,14 +1,11 @@
 //! The buffer pool: a bounded cache of pages over a [`PageDevice`].
 //!
-//! Beyond the classic fetch/evict cycle the pool supports the hot-page
-//! tier (DESIGN §13): **pinning** (a pinned frame is never chosen as an
-//! eviction victim), **prefetch** ([`BufferPool::fetch_many`] plus
-//! sequential read-ahead inside scan phases) with hit/waste accounting,
-//! and **scan hints** ([`BufferPool::begin_scan`]) forwarded to
-//! scan-resistant eviction policies. Frames are tracked floppy-style with
-//! an explicit free list (frames released by [`BufferPool::release`]) and
-//! a flush list (frames that went dirty since the last flush), so neither
-//! allocation nor flushing needs a full frame sweep.
+//! A demand-only cache: a page is read from the device when an access
+//! misses, and only then. Beyond the classic fetch/evict cycle the pool
+//! supports the hot-page tier (DESIGN §13) with **pinning**: a pinned
+//! frame is never chosen as an eviction victim. Frames are allocated
+//! lazily up to `capacity`, and a flush list (frames that went dirty since
+//! the last flush) keeps flushing from sweeping the whole frame table.
 
 use crate::device::{IoStats, PageDevice, PAGE_SIZE};
 use crate::policy::EvictionPolicy;
@@ -22,18 +19,14 @@ use strindex::{Error, FxHashMap, IoOp, Result};
 /// holds behind a lock) can read them without touching the pool itself.
 /// Clone the `Arc` out with [`BufferPool::stats_handle`].
 ///
-/// `misses` counts **every** device page fetch, demand or prefetch — it is
-/// the honest pages-transferred signal the serve benchmarks gate on; a
-/// wasted prefetch still cost a device read and still shows up here.
+/// `misses` counts every device page fetch: the pages-transferred signal
+/// the serve benchmarks gate on.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     pinned: AtomicU64,
-    prefetched: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_waste: AtomicU64,
 }
 
 impl CacheStats {
@@ -42,7 +35,7 @@ impl CacheStats {
         self.hits.load(Relaxed)
     }
 
-    /// Device page fetches so far (demand misses plus prefetch loads).
+    /// Device page fetches so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Relaxed)
     }
@@ -57,21 +50,6 @@ impl CacheStats {
         self.pinned.load(Relaxed)
     }
 
-    /// Pages loaded by prefetch (speculatively, ahead of any access).
-    pub fn prefetched(&self) -> u64 {
-        self.prefetched.load(Relaxed)
-    }
-
-    /// Accesses served from a page that prefetch brought in.
-    pub fn prefetch_hits(&self) -> u64 {
-        self.prefetch_hits.load(Relaxed)
-    }
-
-    /// Prefetched pages evicted before anything touched them.
-    pub fn prefetch_waste(&self) -> u64 {
-        self.prefetch_waste.load(Relaxed)
-    }
-
     /// One coherent copy of all counters.
     pub fn snapshot(&self) -> CacheStatsSnapshot {
         CacheStatsSnapshot {
@@ -79,9 +57,6 @@ impl CacheStats {
             misses: self.misses(),
             evictions: self.evictions(),
             pinned: self.pinned(),
-            prefetched: self.prefetched(),
-            prefetch_hits: self.prefetch_hits(),
-            prefetch_waste: self.prefetch_waste(),
         }
     }
 }
@@ -91,18 +66,12 @@ impl CacheStats {
 pub struct CacheStatsSnapshot {
     /// Cache hits.
     pub hits: u64,
-    /// Device page fetches (demand misses plus prefetch loads).
+    /// Device page fetches.
     pub misses: u64,
     /// Frames evicted.
     pub evictions: u64,
     /// Frames currently pinned.
     pub pinned: u64,
-    /// Pages loaded speculatively by prefetch.
-    pub prefetched: u64,
-    /// Accesses served from a prefetched page.
-    pub prefetch_hits: u64,
-    /// Prefetched pages evicted untouched.
-    pub prefetch_waste: u64,
 }
 
 impl CacheStatsSnapshot {
@@ -127,31 +96,22 @@ struct Frame {
     dirty: bool,
     /// Pin count: while non-zero the frame is never an eviction victim.
     pins: u32,
-    /// Loaded by prefetch and not yet touched by a demand access.
-    prefetched: bool,
     data: Box<[u8]>,
 }
 
-/// A fixed-capacity page cache with a pluggable eviction policy, pinning,
-/// and prefetch.
+/// A fixed-capacity page cache with a pluggable eviction policy and
+/// pinning.
 pub struct BufferPool {
     device: Box<dyn PageDevice>,
     policy: Box<dyn EvictionPolicy>,
     capacity: usize,
     frames: Vec<Frame>,
     map: FxHashMap<u32, usize>,
-    /// Frames released back to the pool, reusable before growing.
-    free: Vec<usize>,
     /// Frames that went dirty since the last flush. May hold stale entries
     /// (a frame cleaned by eviction write-back, or re-listed after a
     /// flush); [`BufferPool::flush`] skips any frame that is clean when it
     /// gets there.
     flush_list: Vec<usize>,
-    /// Nesting depth of scan phases; policies see only the 0↔1 edges.
-    scan_depth: u32,
-    /// Pages of sequential read-ahead issued on a demand miss inside a
-    /// scan phase (0 = off).
-    read_ahead: usize,
     stats: Arc<CacheStats>,
 }
 
@@ -161,20 +121,16 @@ impl BufferPool {
     pub fn new(
         device: Box<dyn PageDevice>,
         capacity: usize,
-        mut policy: Box<dyn EvictionPolicy>,
+        policy: Box<dyn EvictionPolicy>,
     ) -> Self {
         assert!(capacity >= 1);
-        policy.capacity_hint(capacity);
         BufferPool {
             device,
             policy,
             capacity,
             frames: Vec::new(),
             map: FxHashMap::default(),
-            free: Vec::new(),
             flush_list: Vec::new(),
-            scan_depth: 0,
-            read_ahead: 0,
             stats: Arc::new(CacheStats::default()),
         }
     }
@@ -189,7 +145,7 @@ impl BufferPool {
         self.stats.hits()
     }
 
-    /// Device page fetches so far (demand misses plus prefetch loads).
+    /// Device page fetches so far.
     pub fn misses(&self) -> u64 {
         self.stats.misses()
     }
@@ -211,9 +167,8 @@ impl BufferPool {
     }
 
     /// Register this pool's cache counters as gauges on `registry`:
-    /// `{prefix}.hits` / `.misses` / `.evictions` plus the hot-tier
-    /// gauges `.pinned`, `.prefetch_hits`, and `.prefetch_waste`, all
-    /// polled live at snapshot time.
+    /// `{prefix}.hits` / `.misses` / `.evictions` plus the hot-tier gauge
+    /// `.pinned`, all polled live at snapshot time.
     pub fn attach_telemetry(&self, registry: &MetricsRegistry, prefix: &str) {
         let g = |f: fn(&CacheStats) -> u64| {
             let s = self.stats_handle();
@@ -223,8 +178,6 @@ impl BufferPool {
         registry.gauge(&format!("{prefix}.misses"), g(CacheStats::misses));
         registry.gauge(&format!("{prefix}.evictions"), g(CacheStats::evictions));
         registry.gauge(&format!("{prefix}.pinned"), g(CacheStats::pinned));
-        registry.gauge(&format!("{prefix}.prefetch_hits"), g(CacheStats::prefetch_hits));
-        registry.gauge(&format!("{prefix}.prefetch_waste"), g(CacheStats::prefetch_waste));
     }
 
     /// Device I/O counters.
@@ -235,33 +188,6 @@ impl BufferPool {
     /// The eviction policy's name (experiment output).
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
-    }
-
-    /// Enable `pages` of sequential read-ahead on demand misses inside a
-    /// scan phase (0 disables). Read-ahead loads are advisory: their I/O
-    /// errors are swallowed, their fetches still count as misses.
-    pub fn set_read_ahead(&mut self, pages: usize) {
-        self.read_ahead = pages;
-    }
-
-    /// Enter a sequential-scan phase: forwards a scan hint to the eviction
-    /// policy (so scan-resistant policies stop promoting) and arms
-    /// read-ahead. Nests; pair every call with [`BufferPool::end_scan`].
-    pub fn begin_scan(&mut self) {
-        self.scan_depth += 1;
-        if self.scan_depth == 1 {
-            self.policy.scan_hint(true);
-        }
-    }
-
-    /// Leave a sequential-scan phase (see [`BufferPool::begin_scan`]).
-    pub fn end_scan(&mut self) {
-        if self.scan_depth > 0 {
-            self.scan_depth -= 1;
-            if self.scan_depth == 0 {
-                self.policy.scan_hint(false);
-            }
-        }
     }
 
     /// Frames currently pinned.
@@ -284,10 +210,7 @@ impl BufferPool {
         if newly_pinned_frame && self.pinned_count() + 1 >= self.capacity {
             return Ok(false);
         }
-        let frame = match self.fetch_inner(page, false)? {
-            Some(f) => f,
-            None => return Ok(false),
-        };
+        let frame = self.fetch(page)?;
         let fr = &mut self.frames[frame];
         fr.pins += 1;
         if fr.pins == 1 {
@@ -324,106 +247,43 @@ impl BufferPool {
         released
     }
 
-    /// Prefetch `pages` in order: load whichever are absent, marking them
-    /// prefetched for hit/waste accounting. Stops early (without error)
-    /// when no evictable frame is left. Returns how many pages were
-    /// actually fetched from the device.
-    pub fn fetch_many(&mut self, pages: impl IntoIterator<Item = u32>) -> Result<usize> {
-        let mut loaded = 0;
-        for page in pages {
-            let before = self.stats.misses();
-            match self.fetch_inner(page, true)? {
-                Some(_) => loaded += usize::from(self.stats.misses() > before),
-                None => break,
-            }
-        }
-        Ok(loaded)
-    }
-
-    /// Cooperatively evict `page` if resident and unpinned: write it back
-    /// when dirty and put its frame on the free list. Returns whether the
-    /// page was released.
-    pub fn release(&mut self, page: u32) -> Result<bool> {
-        let Some(&f) = self.map.get(&page) else { return Ok(false) };
-        if self.frames[f].pins > 0 {
-            return Ok(false);
-        }
-        let fr = &mut self.frames[f];
-        if fr.dirty {
-            self.device
-                .write_page(fr.page, &fr.data)
-                .map_err(|e| e.with_io_context(IoOp::Write, fr.page))?;
-            fr.dirty = false;
-        }
-        if fr.prefetched {
-            fr.prefetched = false;
-            self.stats.prefetch_waste.fetch_add(1, Relaxed);
-        }
-        fr.page = u32::MAX;
-        self.map.remove(&page);
-        self.free.push(f);
-        Ok(true)
-    }
-
-    /// Ensure `page` is resident; return its frame index. With `prefetch`
-    /// set the load is speculative: a resident page is left untouched (no
-    /// hit accounting, no policy access) and `Ok(None)` — not an error —
-    /// signals that every frame is pinned.
-    fn fetch_inner(&mut self, page: u32, prefetch: bool) -> Result<Option<usize>> {
+    /// Ensure `page` is resident; return its frame index. A miss takes a
+    /// fresh frame while the pool is below capacity, else evicts the
+    /// policy's victim (writing it back when dirty); it fails only when
+    /// every frame is pinned.
+    fn fetch(&mut self, page: u32) -> Result<usize> {
         if let Some(&f) = self.map.get(&page) {
-            if prefetch {
-                return Ok(Some(f));
-            }
             self.stats.hits.fetch_add(1, Relaxed);
-            let fr = &mut self.frames[f];
-            if fr.prefetched {
-                fr.prefetched = false;
-                self.stats.prefetch_hits.fetch_add(1, Relaxed);
-            }
             self.policy.on_access(f, page);
-            return Ok(Some(f));
+            return Ok(f);
         }
-        let frame = if let Some(f) = self.free.pop() {
-            f
-        } else if self.frames.len() < self.capacity {
+        let frame = if self.frames.len() < self.capacity {
             self.frames.push(Frame {
                 page: u32::MAX,
                 dirty: false,
                 pins: 0,
-                prefetched: false,
                 data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
             });
             self.frames.len() - 1
         } else {
-            let pinned: Vec<bool> = self.frames.iter().map(|fr| fr.pins > 0).collect();
-            match self.policy.victim(&pinned) {
-                Some(victim) => {
-                    debug_assert_eq!(self.frames[victim].pins, 0, "policy evicted a pinned frame");
-                    let old = &mut self.frames[victim];
-                    if old.dirty {
-                        self.device
-                            .write_page(old.page, &old.data)
-                            .map_err(|e| e.with_io_context(IoOp::Write, old.page))?;
-                        old.dirty = false;
-                    }
-                    if old.prefetched {
-                        old.prefetched = false;
-                        self.stats.prefetch_waste.fetch_add(1, Relaxed);
-                    }
-                    self.map.remove(&old.page);
-                    self.stats.evictions.fetch_add(1, Relaxed);
-                    victim
-                }
-                None if prefetch => return Ok(None),
-                None => {
-                    return Err(Error::Unsupported("buffer pool exhausted: every frame is pinned"))
-                }
+            let frames = &self.frames;
+            let victim = self
+                .policy
+                .victim(&|f| frames[f].pins > 0)
+                .ok_or(Error::Unsupported("buffer pool exhausted: every frame is pinned"))?;
+            debug_assert_eq!(self.frames[victim].pins, 0, "policy evicted a pinned frame");
+            let old = &mut self.frames[victim];
+            if old.dirty {
+                self.device
+                    .write_page(old.page, &old.data)
+                    .map_err(|e| e.with_io_context(IoOp::Write, old.page))?;
+                old.dirty = false;
             }
+            self.map.remove(&old.page);
+            self.stats.evictions.fetch_add(1, Relaxed);
+            victim
         };
         self.stats.misses.fetch_add(1, Relaxed);
-        if prefetch {
-            self.stats.prefetched.fetch_add(1, Relaxed);
-        }
         self.device
             .read_page(page, &mut self.frames[frame].data)
             .map_err(|e| e.with_io_context(IoOp::Read, page))?;
@@ -431,36 +291,8 @@ impl BufferPool {
         fr.page = page;
         fr.dirty = false;
         fr.pins = 0;
-        fr.prefetched = prefetch;
         self.map.insert(page, frame);
         self.policy.on_load(frame, page);
-        Ok(Some(frame))
-    }
-
-    /// Ensure `page` is resident; return its frame index.
-    fn fetch(&mut self, page: u32) -> Result<usize> {
-        let before = self.stats.misses();
-        let frame =
-            self.fetch_inner(page, false)?.expect("demand fetch_inner returns a frame or errors");
-        // Demand miss inside a scan: pull the next pages of the device in
-        // behind it. Advisory — I/O errors here are swallowed (the demand
-        // page is already resident), but the fetches still count. The demand
-        // frame is transiently pinned so the read-ahead loads cannot evict
-        // the very frame we are about to return.
-        if self.scan_depth > 0 && self.read_ahead > 0 && self.stats.misses() > before {
-            self.frames[frame].pins += 1;
-            let limit = self.device.page_count();
-            for ahead in 1..=self.read_ahead as u32 {
-                let next = page.saturating_add(ahead);
-                if next >= limit {
-                    break;
-                }
-                if self.fetch_inner(next, true).unwrap_or(None).is_none() {
-                    break;
-                }
-            }
-            self.frames[frame].pins -= 1;
-        }
         Ok(frame)
     }
 
@@ -511,7 +343,7 @@ impl BufferPool {
 mod tests {
     use super::*;
     use crate::device::MemDevice;
-    use crate::policy::{Lru, PrefixPriority, SegmentedLru};
+    use crate::policy::{Lru, PrefixPriority};
 
     fn pool(cap: usize) -> BufferPool {
         BufferPool::new(Box::new(MemDevice::new()), cap, Box::<Lru>::default())
@@ -624,8 +456,6 @@ mod tests {
         assert_eq!(snap.gauge("pool.evictions"), Some(1));
         assert_eq!(snap.gauge("pool.hits"), Some(0));
         assert_eq!(snap.gauge("pool.pinned"), Some(0));
-        assert_eq!(snap.gauge("pool.prefetch_hits"), Some(0));
-        assert_eq!(snap.gauge("pool.prefetch_waste"), Some(0));
     }
 
     #[test]
@@ -665,58 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_many_counts_loads_and_marks_prefetch() {
-        let mut p = pool(4);
-        p.read(0, |_| ()).unwrap();
-        let loaded = p.fetch_many([0, 1, 2]).unwrap();
-        assert_eq!(loaded, 2, "page 0 was already resident");
-        assert_eq!(p.stats_handle().prefetched(), 2);
-        // Touching a prefetched page counts a prefetch hit, once.
-        p.read(1, |_| ()).unwrap();
-        p.read(1, |_| ()).unwrap();
-        assert_eq!(p.stats_handle().prefetch_hits(), 1);
-        // Evicting the untouched page 2 counts waste.
-        p.read(10, |_| ()).unwrap();
-        p.read(11, |_| ()).unwrap();
-        p.read(12, |_| ()).unwrap();
-        p.read(13, |_| ()).unwrap();
-        assert_eq!(p.stats_handle().prefetch_waste(), 1);
-    }
-
-    #[test]
-    fn scan_read_ahead_turns_sequential_misses_into_hits() {
-        let mut dev = MemDevice::new();
-        for page in 0..16u32 {
-            dev.write_page(page, &[page as u8; PAGE_SIZE]).unwrap();
-        }
-        let mut p = BufferPool::new(Box::new(dev), 8, Box::<SegmentedLru>::default());
-        p.set_read_ahead(4);
-        p.begin_scan();
-        for page in 0..16u32 {
-            assert_eq!(p.read(page, |b| b[0]).unwrap(), page as u8);
-        }
-        p.end_scan();
-        let s = p.stats_handle().snapshot();
-        // Only every 5th page demand-misses; the rest ride the read-ahead.
-        assert!(s.hits >= 12, "hits {}", s.hits);
-        assert!(s.prefetch_hits >= 12, "prefetch hits {}", s.prefetch_hits);
-        assert_eq!(s.misses, 16, "every device fetch is still a miss: {}", s.misses);
-    }
-
-    #[test]
-    fn release_frees_frame_for_reuse() {
-        let mut p = pool(2);
-        p.write(0, |b| b[0] = 5).unwrap();
-        assert!(p.release(0).unwrap());
-        assert!(!p.release(0).unwrap(), "already released");
-        // The write was persisted on release.
-        assert_eq!(p.read(0, |b| b[0]).unwrap(), 5);
-        // A pinned page refuses to release.
-        p.pin(0).unwrap();
-        assert!(!p.release(0).unwrap());
-    }
-
-    #[test]
     fn all_pinned_pool_errors_on_demand_miss() {
         let mut p = pool(1);
         // Capacity 1 refuses the pin that would exhaust it.
@@ -730,27 +508,5 @@ mod tests {
         // Demand miss can still evict the unpinned frame.
         p2.read(2, |_| ()).unwrap();
         assert_eq!(p2.read(0, |b| b.len()).unwrap(), PAGE_SIZE);
-    }
-
-    #[test]
-    fn scan_hint_protects_hot_set_under_slru() {
-        // Hot set: pages 0..4 touched twice (promoted). Then a long scan
-        // sweeps pages 100..140 through a 8-frame pool. Under SLRU the hot
-        // pages survive; re-reading them afterwards stays hit-only.
-        let mut p = BufferPool::new(Box::new(MemDevice::new()), 8, Box::<SegmentedLru>::default());
-        for page in 0..4u32 {
-            p.read(page, |_| ()).unwrap();
-            p.read(page, |_| ()).unwrap();
-        }
-        p.begin_scan();
-        for page in 100..140u32 {
-            p.read(page, |_| ()).unwrap();
-        }
-        p.end_scan();
-        let misses = p.misses();
-        for page in 0..4u32 {
-            p.read(page, |_| ()).unwrap();
-        }
-        assert_eq!(p.misses(), misses, "scan flushed the hot set");
     }
 }

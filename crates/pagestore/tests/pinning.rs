@@ -1,12 +1,12 @@
 //! Pinning contract, enforced under arbitrary traffic.
 //!
 //! A pinned page is a promise: whatever the eviction policy, whatever the
-//! fetch/scan/prefetch sequence thrown at the pool, the frame stays
-//! resident and its bytes stay addressable. These proptests drive pools
-//! with every shipped policy through random operation scripts and check
-//! the promise after every step.
+//! read/write sequence thrown at the pool, the frame stays resident and its
+//! bytes stay addressable. These proptests drive pools with every shipped
+//! policy through random operation scripts and check the promise after
+//! every step.
 
-use pagestore::{BufferPool, Clock, EvictionPolicy, Fifo, Lru, MemDevice, SegmentedLru};
+use pagestore::{BufferPool, Clock, EvictionPolicy, Fifo, Lru, MemDevice, PrefixPriority};
 use proptest::prelude::*;
 
 const PAGES: u32 = 24;
@@ -26,24 +26,17 @@ fn pinned_pool(capacity: usize, policy: Box<dyn EvictionPolicy>, pins: &[u32]) -
 }
 
 /// One step of random traffic against the pool, decoded from a generated
-/// `(kind, page, n)` tuple: 0 = read, 1 = write, 2 = prefetch `n` pages
-/// from `page`, 3 = scan begin, 4 = scan end.
+/// `(kind, page)` pair: 0 = read, 1 = write.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Read(u32),
     Write(u32),
-    Prefetch(u32, u8),
-    ScanBegin,
-    ScanEnd,
 }
 
-fn decode(kind: usize, page: u32, n: u8) -> Op {
+fn decode(kind: usize, page: u32) -> Op {
     match kind {
         0 => Op::Read(page),
-        1 => Op::Write(page),
-        2 => Op::Prefetch(page, n),
-        3 => Op::ScanBegin,
-        _ => Op::ScanEnd,
+        _ => Op::Write(page),
     }
 }
 
@@ -52,39 +45,32 @@ fn policy_for(kind: usize) -> Box<dyn EvictionPolicy> {
         0 => Box::<Lru>::default(),
         1 => Box::<Clock>::default(),
         2 => Box::<Fifo>::default(),
-        _ => Box::<SegmentedLru>::default(),
+        _ => Box::<PrefixPriority>::default(),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Pinned pages survive arbitrary fetch/scan/prefetch sequences: still
-    /// reported pinned, still serving the right bytes, and never charged an
+    /// Pinned pages survive arbitrary read/write sequences: still reported
+    /// pinned, still serving the right bytes, and never charged an
     /// eviction — under every eviction policy in the crate.
     #[test]
     fn pinned_pages_are_never_evicted(
         policy_kind in 0usize..4,
         pin_a in 0..PAGES,
         pin_b in 0..PAGES,
-        read_ahead in 0usize..4,
-        raw_ops in prop::collection::vec((0usize..5, 0u32..PAGES, 1u8..6), 1..120),
+        raw_ops in prop::collection::vec((0usize..2, 0u32..PAGES), 1..120),
     ) {
-        let ops: Vec<Op> = raw_ops.into_iter().map(|(k, p, n)| decode(k, p, n)).collect();
+        let ops: Vec<Op> = raw_ops.into_iter().map(|(k, p)| decode(k, p)).collect();
         let pins: Vec<u32> = if pin_a == pin_b { vec![pin_a] } else { vec![pin_a, pin_b] };
         // Capacity 4 with up to 2 pins: tight enough that unpinned traffic
         // constantly evicts, roomy enough that the pin budget admits both.
         let mut pool = pinned_pool(4, policy_for(policy_kind), &pins);
-        pool.set_read_ahead(read_ahead);
         for op in &ops {
             match *op {
                 Op::Read(p) => { pool.read(p, |b| b[0]).unwrap(); }
                 Op::Write(p) => { pool.write(p, |b| b[1] = b[1].wrapping_add(1)).unwrap(); }
-                Op::Prefetch(p, n) => {
-                    pool.fetch_many((p..PAGES.min(p + n as u32)).collect::<Vec<_>>()).unwrap();
-                }
-                Op::ScanBegin => pool.begin_scan(),
-                Op::ScanEnd => pool.end_scan(),
             }
             for &p in &pins {
                 prop_assert!(pool.is_pinned(p), "page {} lost its pin after {:?}", p, op);
@@ -100,16 +86,13 @@ proptest! {
     }
 
     /// When every frame but one is pinned, demand fetches still succeed by
-    /// cycling through the single free frame, and prefetch degrades to a
-    /// polite no-op instead of an error.
+    /// cycling through the single free frame.
     #[test]
     fn single_free_frame_still_serves(reads in prop::collection::vec(0..PAGES, 1..60)) {
         let mut pool = pinned_pool(4, Box::<Lru>::default(), &[0, 1, 2]);
         for &p in &reads {
             prop_assert_eq!(pool.read(p, |b| b[0]).unwrap(), p as u8);
         }
-        // Prefetch wants frames it cannot evict: Ok, not an error.
-        pool.fetch_many(0..PAGES).unwrap();
         for p in [0u32, 1, 2] {
             prop_assert!(pool.is_pinned(p));
         }

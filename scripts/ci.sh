@@ -17,6 +17,17 @@ for arg in "$@"; do
   esac
 done
 
+# `cargo test -q ARGS...` with a name filter, failing unless some test
+# binary reports at least one passed test: a filter left stale after its
+# test is deleted would otherwise pass silently with "0 passed".
+filtered_test() {
+  local out
+  out=$(cargo test -q "$@" 2>&1) || { echo "$out"; return 1; }
+  echo "$out"
+  grep -qE 'test result: ok\. [1-9][0-9]* passed' <<<"$out" \
+    || { echo "filter matched no test: cargo test $*"; return 1; }
+}
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
@@ -28,10 +39,10 @@ cargo build --release
 cargo test -q --workspace
 
 echo "== occurrence enumeration: reverse-link walk vs the paper's backbone scan (proptest)"
-cargo test -q --test differential link_walk_equals_backbone_scan
-cargo test -q --test differential sealed_walk_equals_backbone_scan
-cargo test -q -p spine --lib occurrences
-cargo test -q -p spine --lib prefix
+filtered_test --test differential link_walk_equals_backbone_scan
+filtered_test --test differential sealed_walk_equals_backbone_scan
+filtered_test -p spine --lib occurrences
+filtered_test -p spine --lib prefix
 
 echo "== asserting examples"
 for example in quickstart pattern_search multi_string approximate_and_unique concurrent_server; do
@@ -52,35 +63,35 @@ cargo test -q --test fault_tolerance
 cargo test -q -p pagestore --test faults
 
 echo "== segment store: manifest codec, lifecycle, differential oracle, engine stress"
-cargo test -q -p spine --lib manifest
-cargo test -q -p spine --lib segments
+filtered_test -p spine --lib manifest
+filtered_test -p spine --lib segments
 cargo test -q --test segments
-cargo test -q --test differential segmented_store
+filtered_test --test differential segmented_store
 
 echo "== flight recorder: journal codec, merge observer, timeline ring, postmortem dumps"
-cargo test -q -p spine --lib journal
-cargo test -q -p spine --lib observe
-cargo test -q -p strindex --lib telemetry
-cargo test -q -p spine-bench --lib flight
-cargo test -q -p spine-bench --lib http
+filtered_test -p spine --lib journal
+filtered_test -p spine --lib observe
+filtered_test -p strindex --lib telemetry
+filtered_test -p spine-bench --lib flight
+filtered_test -p spine-bench --lib http
 
-echo "== hot-page tier: pool pinning/prefetch, heatmap attribution, differential oracle"
-cargo test -q -p pagestore --lib pool
+echo "== hot-page tier: pool pinning, heatmap attribution, differential oracle"
+filtered_test -p pagestore --lib pool
 cargo test -q -p pagestore --test pinning
-cargo test -q -p spine --lib trace
-cargo test -q -p spine --lib hot
+filtered_test -p spine --lib trace
+filtered_test -p spine --lib hot
 cargo test -q --test explain
-cargo test -q --test differential hot_tier
-cargo test -q --test segments segments_pin_hot
+filtered_test --test differential hot_tier
+filtered_test --test segments segments_pin_hot
 
 echo "== layout v2: codec round-trips, sealed engine, packed-vs-scalar"
-cargo test -q -p pagestore varint
-cargo test -q -p pagestore slotted
-cargo test -q -p spine disk::
+filtered_test -p pagestore varint
+filtered_test -p pagestore slotted
+filtered_test -p spine disk::
 cargo test -q --test layout_v2
-cargo test -q --test differential packed_scan
-cargo test -q -p spine --lib compact::
-cargo test -q -p spine --test properties compact_layout_is_equivalent
+filtered_test --test differential packed_scan
+filtered_test -p spine --lib compact::
+filtered_test -p spine --test properties compact_layout_is_equivalent
 
 echo "== exp scale --quick --check (load harness: curve coverage vs committed BENCH_scale.json)"
 tmp_scale=$(mktemp)
@@ -89,10 +100,10 @@ cargo run --release -q -p spine-bench --bin exp -- scale --quick \
 rm -f "$tmp_scale"
 
 echo "== load-harness tests (determinism properties + coordinated-omission stall probe)"
-cargo test -q -p spine-bench --lib load
+filtered_test -p spine-bench --lib load
 cargo test -q -p spine-bench --test load
-cargo test -q -p spine-bench --lib rng
-cargo test -q -p spine-bench --lib snapshot
+filtered_test -p spine-bench --lib rng
+filtered_test -p spine-bench --lib snapshot
 
 echo "== exp serve --metrics --quick (ledger invariant + stage histograms)"
 metrics_json=$(cargo run --release -q -p spine-bench --bin exp -- serve --metrics --quick)
