@@ -1,5 +1,5 @@
-//! Criterion bench: serial one-scan-per-pattern querying vs the concurrent
-//! batched engine (the micro-scale companion of `exp serve`).
+//! Criterion bench: serial per-pattern querying vs the concurrent engine
+//! (the micro-scale companion of `exp serve`).
 
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ fn serve(c: &mut Criterion) {
 
     for workers in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::new("engine", workers), &workers, |b, &workers| {
-            let cfg = EngineConfig { workers, batch_max: 64, ..Default::default() };
+            let cfg = EngineConfig { workers, ..Default::default() };
             let engine = QueryEngine::new(Arc::clone(&index), cfg);
             b.iter(|| {
                 for admitted in engine.submit_batch(pats.iter().cloned()) {

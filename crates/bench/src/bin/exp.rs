@@ -19,11 +19,12 @@
 //!                      Prometheus text exposition format (self-validated)
 //!     [--chrome-trace] `serve --metrics` only: print the span ring as a
 //!                      Chrome trace_event JSON document
-//!     [--out PATH]     `bench-snapshot` only: snapshot path (default BENCH_serve.json)
+//!     [--out PATH]     `bench-snapshot` only: snapshot path (default
+//!                      BENCH_serve.json; none when checking)
 //!     [--check PATH]   `bench-snapshot` only: compare against a committed
 //!                      baseline; exit 1 on a >20 % regression
 //!     [--out-build PATH]   `bench-snapshot` only: construction snapshot path
-//!                          (default BENCH_build.json)
+//!                          (default BENCH_build.json; none when checking)
 //!     [--check-build PATH] `bench-snapshot` only: construction baseline to
 //!                          regress against; exit 1 on a >20 % regression
 //!     [--http PORT]    `serve` only: expose /metrics, /health and /explain
@@ -44,6 +45,11 @@
 //! `--out` (default BENCH_scale.json). `--check PATH` gates against a
 //! committed baseline: curve coverage always, peak throughput when the run
 //! fingerprint matches. `--quick` shrinks everything to CI size.
+//!
+//! A checking run (`--check` or `--check-build`) parses every baseline
+//! before it measures, and writes a snapshot file only where `--out` or
+//! `--out-build` names one; otherwise it prints the JSON. So a check never
+//! overwrites the committed baseline it compares against.
 //!
 //! `exp http-get ADDR/PATH [--prom]` is the matching std-only client
 //! (CI's curl replacement); `--prom` additionally validates the body as
@@ -686,10 +692,10 @@ fn buffering(opts: &Opts) {
 }
 
 // ---------------------------------------------------------------------------
-// Serve: concurrent batched query serving over one shared index — the
+// Serve: concurrent query serving over one shared index — the
 // "integration with database engines" deployment (§6). Compares a serial
-// one-scan-per-pattern loop against the worker-pool engine, which coalesces
-// admitted patterns into shared backbone scans.
+// per-pattern loop against the worker-pool engine, whose workers answer one
+// request per index call.
 // ---------------------------------------------------------------------------
 /// The `serve` traffic: window patterns (hits, occurrence-heavy) plus
 /// reversed variants (mostly misses) — each submitted several times, as a
@@ -730,11 +736,10 @@ fn serve(opts: &Opts) {
         .cell("workers", 1.0)
         .cell("queries", workload.len() as f64)
         .cell("qps", qps_serial)
-        .cell("speedup", 1.0)
-        .cell("mean-batch", 1.0)];
+        .cell("speedup", 1.0)];
 
     for workers in [1, 2, opts.workers] {
-        let cfg = EngineConfig { workers, batch_max: 64, ..Default::default() };
+        let cfg = EngineConfig { workers, ..Default::default() };
         let engine = QueryEngine::new(Arc::clone(&index), cfg);
         let (results, t) = time(|| {
             for admitted in engine.submit_batch(workload.iter().cloned()) {
@@ -744,22 +749,16 @@ fn serve(opts: &Opts) {
         });
         let hits: usize = results.iter().map(|r| r.expect_ends().len()).sum();
         assert_eq!(hits, serial_hits, "engine answers diverge from serial scan");
-        let m = engine.metrics();
         let qps = workload.len() as f64 / secs(t).max(1e-9);
         rows.push(
             Row::new(format!("engine-w{workers}"))
                 .cell("workers", workers as f64)
                 .cell("queries", workload.len() as f64)
                 .cell("qps", qps)
-                .cell("speedup", qps / qps_serial)
-                .cell("mean-batch", m.mean_batch()),
+                .cell("speedup", qps / qps_serial),
         );
     }
-    print_table(
-        "Serve — batched-concurrent throughput vs serial scan (hc21-sim)",
-        &rows,
-        opts.json,
-    );
+    print_table("Serve — concurrent throughput vs serial queries (hc21-sim)", &rows, opts.json);
 
     // The disk engine's hot-page tier, before and after, at one fixed pool
     // size: plain sealed file vs heat-clustered file with the hottest pages
@@ -839,7 +838,7 @@ fn serve_metrics(opts: &Opts) {
     let d = Dataset::generate("hc21-sim", scale);
     let index = Arc::new(Spine::build(d.alphabet.clone(), &d.seq).unwrap());
     let workload = serve_workload(&d, 256, cycles);
-    let cfg = EngineConfig { workers: opts.workers, batch_max: 64, ..Default::default() };
+    let cfg = EngineConfig { workers: opts.workers, ..Default::default() };
 
     let run = |engine: &QueryEngine<Spine>| {
         let (results, t) = time(|| {
@@ -896,7 +895,7 @@ fn serve_metrics(opts: &Opts) {
         assert_eq!(m.completed, workload.len() as u64, "not every query completed");
 
         let snap = registry.snapshot();
-        for stage in [Stage::BatchFormation, Stage::IndexScan, Stage::ResultMerge] {
+        for stage in [Stage::IndexScan, Stage::ResultMerge] {
             let h = snap.stage(stage).expect("stage histogram registered");
             assert!(!h.is_empty(), "empty histogram for {}", stage.metric_name());
         }
@@ -1007,7 +1006,7 @@ fn serve_http(opts: &Opts, port: u16) {
 
     let window = Arc::new(SlidingWindow::new(10, Duration::from_secs(1)));
     let slo = Arc::new(SloTracker::new(Duration::from_millis(250), 0.999));
-    let cfg = EngineConfig { workers: opts.workers, batch_max: 64, ..Default::default() };
+    let cfg = EngineConfig { workers: opts.workers, ..Default::default() };
     let engine = Arc::new(QueryEngine::with_observability(
         Arc::clone(&index),
         cfg,
@@ -1516,8 +1515,13 @@ fn explain(opts: &Opts) {
 fn bench_snapshot(opts: &Opts) {
     use spine::engine::{EngineConfig, QueryEngine};
     use spine::telemetry::MetricsRegistry;
-    use spine_bench::BenchSnapshot;
+    use spine_bench::{BenchSnapshot, BuildSnapshot};
     use std::sync::Arc;
+
+    let serve_base = opts.check.as_ref().map(|p| (p, load_baseline(p, BenchSnapshot::from_json)));
+    let build_base =
+        opts.check_build.as_ref().map(|p| (p, load_baseline(p, BuildSnapshot::from_json)));
+    let checking = serve_base.is_some() || build_base.is_some();
 
     // Serving phase: the `serve --metrics` workload with telemetry attached.
     let scale = if opts.quick { opts.scale * 0.25 } else { opts.scale };
@@ -1525,7 +1529,7 @@ fn bench_snapshot(opts: &Opts) {
     let d = Dataset::generate("hc21-sim", scale);
     let index = Arc::new(Spine::build(d.alphabet.clone(), &d.seq).unwrap());
     let workload = serve_workload(&d, 256, cycles);
-    let cfg = EngineConfig { workers: opts.workers, batch_max: 64, ..Default::default() };
+    let cfg = EngineConfig { workers: opts.workers, ..Default::default() };
 
     let run = |engine: &QueryEngine<Spine>| {
         let (results, t) = time(|| {
@@ -1638,54 +1642,53 @@ fn bench_snapshot(opts: &Opts) {
         pages_per_query: pages.mean(),
     };
     let json = s.to_json();
-    let out = opts.out.clone().unwrap_or_else(|| "BENCH_serve.json".to_string());
-    std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("{json}");
-    eprintln!("OK: snapshot written to {out}");
+    write_snapshot(&json, &opts.out, "BENCH_serve.json", checking);
 
     // Construction phase: build-side observability numbers → BENCH_build.json.
     let b = build_snapshot_section(&d, &dd, pool);
     let bjson = b.to_json();
-    let out_build = opts.out_build.clone().unwrap_or_else(|| "BENCH_build.json".to_string());
-    std::fs::write(&out_build, format!("{bjson}\n"))
-        .unwrap_or_else(|e| panic!("writing {out_build}: {e}"));
     println!("{bjson}");
-    eprintln!("OK: construction snapshot written to {out_build}");
+    write_snapshot(&bjson, &opts.out_build, "BENCH_build.json", checking);
 
-    if let Some(base_path) = &opts.check {
-        let text = std::fs::read_to_string(base_path)
-            .unwrap_or_else(|e| panic!("reading baseline {base_path}: {e}"));
-        let base = match BenchSnapshot::from_json(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("BENCH BASELINE REJECTED ({base_path}): {e}");
-                std::process::exit(1);
-            }
-        };
-        match s.check_against(&base) {
-            Ok(msg) => eprintln!("OK: {msg}"),
-            Err(e) => {
-                eprintln!("BENCH REGRESSION vs {base_path}: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some((path, base)) = &serve_base {
+        gate(s.check_against(base), path);
     }
-    if let Some(base_path) = &opts.check_build {
-        let text = std::fs::read_to_string(base_path)
-            .unwrap_or_else(|e| panic!("reading baseline {base_path}: {e}"));
-        let base = match spine_bench::BuildSnapshot::from_json(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("BENCH BASELINE REJECTED ({base_path}): {e}");
-                std::process::exit(1);
-            }
-        };
-        match b.check_against(&base) {
-            Ok(msg) => eprintln!("OK: {msg}"),
-            Err(e) => {
-                eprintln!("BENCH REGRESSION vs {base_path}: {e}");
-                std::process::exit(1);
-            }
+    if let Some((path, base)) = &build_base {
+        gate(b.check_against(base), path);
+    }
+}
+
+/// Read and parse a `--check` baseline, exiting 1 if it is rejected.
+/// Called before measuring, so a bad baseline fails fast.
+fn load_baseline<T, E: std::fmt::Display>(path: &str, parse: fn(&str) -> Result<T, E>) -> T {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading baseline {path}: {e}"));
+    parse(&text).unwrap_or_else(|e| {
+        eprintln!("BENCH BASELINE REJECTED ({path}): {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Write a snapshot to `out`, or else to `default` unless the run is
+/// checking: a check must not overwrite the baseline it compares against.
+/// Returns whether a file was written.
+fn write_snapshot(json: &str, out: &Option<String>, default: &str, checking: bool) -> bool {
+    let Some(path) = out.clone().or_else(|| (!checking).then(|| default.to_string())) else {
+        return false;
+    };
+    std::fs::write(&path, format!("{json}\n")).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    eprintln!("OK: snapshot written to {path}");
+    true
+}
+
+/// Report a baseline check: `OK`, or the regression and exit 1.
+fn gate(verdict: Result<String, String>, path: &str) {
+    match verdict {
+        Ok(msg) => eprintln!("OK: {msg}"),
+        Err(e) => {
+            eprintln!("BENCH REGRESSION vs {path}: {e}");
+            std::process::exit(1);
         }
     }
 }
@@ -1795,6 +1798,7 @@ fn scale_cmd(opts: &Opts) {
     let mut cfg =
         if opts.quick { ScaleConfig::quick(opts.seed) } else { ScaleConfig::full(opts.seed) };
     cfg.workers = opts.workers;
+    let base = opts.check.as_ref().map(|p| (p, load_baseline(p, ScaleReport::from_json)));
     if let Some(kind) = &opts.corpus {
         cfg.corpus_kind = CorpusKind::parse(kind)
             .unwrap_or_else(|| panic!("unknown corpus {kind:?} (dna|protein|logtext)"));
@@ -1815,26 +1819,12 @@ fn scale_cmd(opts: &Opts) {
     let _ = std::fs::remove_dir_all(&scratch);
 
     let json = report.to_json();
-    let out = opts.out.clone().unwrap_or_else(|| "BENCH_scale.json".to_string());
-    std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    eprintln!("OK: {} curves written to {out}", report.curves.len());
+    if !write_snapshot(&json, &opts.out, "BENCH_scale.json", base.is_some()) {
+        println!("{json}");
+    }
+    eprintln!("OK: {} curves", report.curves.len());
 
-    if let Some(base_path) = &opts.check {
-        let text = std::fs::read_to_string(base_path)
-            .unwrap_or_else(|e| panic!("reading baseline {base_path}: {e}"));
-        let base = match ScaleReport::from_json(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("BENCH BASELINE REJECTED ({base_path}): {e}");
-                std::process::exit(1);
-            }
-        };
-        match report.check_against(&base) {
-            Ok(msg) => eprintln!("OK: {msg}"),
-            Err(e) => {
-                eprintln!("BENCH REGRESSION vs {base_path}: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some((path, base)) = &base {
+        gate(report.check_against(base), path);
     }
 }

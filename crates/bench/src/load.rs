@@ -682,7 +682,7 @@ pub fn run_plan<S: ServeIndex + 'static>(
 /// Serve any whole-text [`StringIndex`] through the [`QueryEngine`]: each
 /// pattern answers with its occurrence end positions (matching the SPINE
 /// convention `end = start + len`), so every comparison engine rides the
-/// same batching, queueing, and telemetry path as SPINE itself.
+/// same queueing and telemetry path as SPINE itself.
 pub struct ServeAdapter<T: StringIndex + Send + Sync> {
     index: T,
     probe: Option<fn(&T) -> CountersSnapshot>,
@@ -761,7 +761,7 @@ impl ServeIndex for BoxedServe {
 /// The in-repo engines the head-to-head sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// In-memory SPINE via the [`spine::SpineOps`] batch path.
+    /// In-memory SPINE via the [`spine::SpineOps`] serving path.
     Spine,
     /// Segmented LSM SPINE, built incrementally from the corpus stream.
     SpineSeg,
@@ -1272,7 +1272,6 @@ pub fn run_scale(cfg: &ScaleConfig, scratch: &std::path::Path) -> ScaleReport {
 fn engine_config(cfg: &ScaleConfig, plan: &LoadPlan) -> EngineConfig {
     EngineConfig {
         workers: cfg.workers,
-        batch_max: 64,
         // The open-loop driver must never shed or block on admission — the
         // queue absorbs everything so queue wait lands in latency, not in a
         // shed count.

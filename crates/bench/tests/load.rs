@@ -107,7 +107,7 @@ fn all_engine_builders_agree_under_load() {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// A [`ServeIndex`] that stalls hard on the first batch it sees: the
+/// A [`ServeIndex`] that stalls hard on the first call it sees: the
 /// coordinated-omission probe. A closed-loop driver would only charge the
 /// stall to the single in-flight query; the open-loop driver must charge
 /// every query scheduled *during* the stall for its full queue wait.
@@ -151,7 +151,7 @@ fn open_loop_charges_queue_wait_during_a_stall() {
     let index = Arc::new(StalledIndex::new(STALL));
     let engine = QueryEngine::new(
         Arc::clone(&index),
-        EngineConfig { workers: 1, batch_max: 1, queue_capacity: 256, shed: ShedPolicy::Block },
+        EngineConfig { workers: 1, queue_capacity: 256, shed: ShedPolicy::Block },
     );
     let queries: Vec<Vec<Code>> = (0..40).map(|i| vec![(i % 4) as Code]).collect();
     // Constant 1 ms spacing: the whole schedule (40 ms) fits inside the
@@ -186,7 +186,7 @@ fn closed_loop_understates_the_same_stall() {
     let index = Arc::new(StalledIndex::new(STALL));
     let engine = QueryEngine::new(
         Arc::clone(&index),
-        EngineConfig { workers: 1, batch_max: 1, queue_capacity: 256, shed: ShedPolicy::Block },
+        EngineConfig { workers: 1, queue_capacity: 256, shed: ShedPolicy::Block },
     );
     let queries: Vec<Vec<Code>> = (0..40).map(|i| vec![(i % 4) as Code]).collect();
     let plan = LoadPlan::closed(queries, 1);

@@ -1,44 +1,43 @@
-//! Concurrent batched query engine with fault-tolerant serving.
+//! Concurrent query engine with fault-tolerant serving.
 //!
 //! The SPINE structures are immutable after construction and use only
 //! relaxed atomic counters for instrumentation, so one index can serve any
 //! number of concurrent readers. This module packages that property into a
 //! server-shaped front end:
 //!
-//! * a **worker pool** of OS threads sharing one [`Arc`]-held index;
-//! * a **bounded admission queue** that coalesces submitted patterns — each
-//!   worker drains up to [`EngineConfig::batch_max`] requests per wakeup and
-//!   resolves them in one call
-//!   ([`crate::occurrences::try_find_all_ends_batch`]): one link walk per
-//!   pattern where the index keeps reverse-link children lists, otherwise a
-//!   *single* shared backbone scan — the batching opportunity §4 of the
-//!   paper identifies for multi-pattern workloads.
-//!   When the queue is at [`EngineConfig::queue_capacity`], the
-//!   [`ShedPolicy`] decides whether a new submission blocks for space or is
-//!   shed with [`SubmitError::Overloaded`];
+//! * a **worker pool** of OS threads sharing one [`Arc`]-held index. Each
+//!   worker takes the first live request from the queue and answers it with
+//!   one [`ServeIndex::answer_patterns`] call: a valid-path locate plus a
+//!   link walk over the reverse-link children where the index keeps them
+//!   (every serving structure does), so requests share no work and are
+//!   never coalesced;
+//! * a **bounded admission queue**: when it is at
+//!   [`EngineConfig::queue_capacity`], the [`ShedPolicy`] decides whether a
+//!   new submission blocks for space or is shed with
+//!   [`SubmitError::Overloaded`];
 //! * **per-request deadlines** ([`QueryEngine::submit_with_deadline`]):
-//!   a request whose deadline has passed by the time a worker would batch it
-//!   completes as [`QueryOutcome::TimedOut`] without occupying a batch slot;
-//! * **worker panic isolation**: a panic while answering a batch fails only
-//!   that batch's requests ([`QueryOutcome::Failed`]); the worker is
-//!   respawned (counted in [`MetricsSnapshot::worker_respawns`]) and
-//!   `drain` never hangs;
+//!   a request whose deadline has passed by the time a worker reaches it
+//!   completes as [`QueryOutcome::TimedOut`] without index work;
+//! * **worker panic isolation**: a panic while answering a request fails
+//!   only that request ([`QueryOutcome::Failed`]); the worker is respawned
+//!   (counted in [`MetricsSnapshot::worker_respawns`]) and `drain` never
+//!   hangs;
 //! * a **metrics surface** ([`MetricsSnapshot`]) aggregating the index's
-//!   [`strindex::Counters`] with per-worker batch statistics, the observed
+//!   [`strindex::Counters`] with the count of index calls, the observed
 //!   queue depth, and the fate of every request. The request ledger lives
 //!   under the state lock and is snapshotted atomically, so
 //!   `completed + shed + timed_out + failed + pending + in_flight ==
 //!   submitted` holds on *every* snapshot, not just at idle;
 //! * an optional **telemetry hookup** ([`QueryEngine::with_telemetry`]):
 //!   given a shared [`MetricsRegistry`], the engine records per-stage
-//!   latency histograms ([`Stage::AdmissionWait`], [`Stage::BatchFormation`],
-//!   [`Stage::IndexScan`], [`Stage::ResultMerge`]), end-to-end query
-//!   latencies, batch sizes, and per-query/per-batch tracing spans. Engines
-//!   built with [`QueryEngine::new`] record nothing and pay nothing.
+//!   latency histograms ([`Stage::AdmissionWait`], [`Stage::IndexScan`],
+//!   [`Stage::ResultMerge`]), end-to-end query latencies, and one tracing
+//!   span per query. Engines built with [`QueryEngine::new`] record nothing
+//!   and pay nothing.
 //!
 //! Any [`ServeIndex`] works. Every [`SpineOps`] index is one for free (a
-//! blanket impl answers the batch through
-//! [`crate::occurrences::try_find_all_ends_batch`]): the reference
+//! blanket impl answers through
+//! [`crate::occurrences::try_find_all_ends`]): the reference
 //! [`crate::Spine`], the §5 [`crate::CompactSpine`], a
 //! [`crate::GeneralizedSpine`] over many documents, or a page-resident
 //! [`crate::DiskSpine`] — whose storage faults degrade the affected
@@ -73,9 +72,8 @@ use std::time::{Duration, Instant};
 
 use crate::generalized::DocMatch;
 use crate::node::NodeId;
-use crate::occurrences::{try_find_all_ends_batch, Target};
+use crate::occurrences::try_find_all_ends;
 use crate::ops::SpineOps;
-use crate::search::try_locate;
 use strindex::telemetry::{Histogram, MetricsRegistry, SlidingWindow, SloTracker, Stage};
 use strindex::{Code, CountersSnapshot};
 
@@ -115,10 +113,6 @@ impl std::error::Error for SubmitError {}
 pub struct EngineConfig {
     /// Worker threads in the pool (clamped to ≥ 1).
     pub workers: usize,
-    /// Most requests one worker coalesces into one index call — a single
-    /// shared backbone scan on indexes without children lists (clamped to
-    /// ≥ 1).
-    pub batch_max: usize,
     /// Most requests the admission queue holds before the [`ShedPolicy`]
     /// applies (clamped to ≥ 1).
     pub queue_capacity: usize,
@@ -129,7 +123,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        EngineConfig { workers, batch_max: 64, queue_capacity: 4096, shed: ShedPolicy::Block }
+        EngineConfig { workers, queue_capacity: 4096, shed: ShedPolicy::Block }
     }
 }
 
@@ -148,11 +142,11 @@ pub enum QueryOutcome {
     /// [`ServeIndex`] implementations whose position space is per-document
     /// (the segmented store) rather than one concatenation.
     DoneDocs(Vec<DocMatch>),
-    /// The request's deadline passed before a worker batched it; no index
+    /// The request's deadline passed before a worker reached it; no index
     /// work was spent on it.
     TimedOut,
     /// The request could not be answered: a storage fault surfaced during
-    /// the traversal, or the worker panicked mid-batch. The message
+    /// the traversal, or the worker panicked answering it. The message
     /// explains which.
     Failed(String),
 }
@@ -219,18 +213,6 @@ impl QueryResult {
     }
 }
 
-/// Batch statistics for one worker thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerMetrics {
-    /// Coalesced batches this worker resolved, one index call each (link
-    /// walks per pattern, or one shared backbone scan).
-    pub batches: u64,
-    /// Queries that sat in those batches, whatever their outcome.
-    pub queries: u64,
-    /// Largest batch it coalesced.
-    pub max_batch: u64,
-}
-
 /// Point-in-time view of engine activity.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
@@ -238,8 +220,10 @@ pub struct MetricsSnapshot {
     /// every structure the index queries (one backbone, or memtable + every
     /// segment of a [`crate::SegmentedSpine`]).
     pub index: CountersSnapshot,
-    /// Per-worker batch statistics, one entry per pool thread.
-    pub workers: Vec<WorkerMetrics>,
+    /// [`ServeIndex::answer_patterns`] calls the workers made, one per
+    /// request they answered (whatever its outcome). Traced queries
+    /// ([`QueryEngine::submit_traced`]) and expired ones make none.
+    pub index_calls: u64,
     /// Requests presented to the engine over its lifetime (admitted or
     /// shed).
     pub submitted: u64,
@@ -247,7 +231,7 @@ pub struct MetricsSnapshot {
     pub completed: u64,
     /// Requests shed at admission by [`ShedPolicy::RejectNewest`].
     pub shed: u64,
-    /// Requests that expired before a worker batched them
+    /// Requests that expired before a worker reached them
     /// ([`QueryOutcome::TimedOut`]).
     pub timed_out: u64,
     /// Requests that ended as [`QueryOutcome::Failed`] (storage fault or
@@ -255,7 +239,7 @@ pub struct MetricsSnapshot {
     pub failed: u64,
     /// Requests sitting in the admission queue at snapshot time.
     pub pending: u64,
-    /// Requests inside worker batches at snapshot time.
+    /// Requests a worker is answering at snapshot time.
     pub in_flight: u64,
     /// Worker threads respawned after a panic.
     pub worker_respawns: u64,
@@ -264,20 +248,19 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Total coalesced batches across workers.
+    /// Index calls the workers made ([`index_calls`](Self::index_calls)),
+    /// one per request they answered.
     pub fn batches(&self) -> u64 {
-        self.workers.iter().map(|w| w.batches).sum()
+        self.index_calls
     }
 
-    /// Mean queries per coalesced batch — the coalescing factor. 0 when
-    /// idle. Counts every batched query whatever its outcome, and none of
-    /// the [`QueryEngine::submit_traced`] ones, which bypass batching.
+    /// Requests per index call: 1.0 once a worker has answered anything, 0
+    /// when idle. Every call carries one request.
     pub fn mean_batch(&self) -> f64 {
-        let b = self.batches();
-        if b == 0 {
+        if self.index_calls == 0 {
             0.0
         } else {
-            self.workers.iter().map(|w| w.queries).sum::<u64>() as f64 / b as f64
+            1.0
         }
     }
 
@@ -289,7 +272,7 @@ impl MetricsSnapshot {
     }
 
     /// The full-strength ledger invariant: every submitted request is either
-    /// finalized, waiting in the queue, or inside a worker batch. Because
+    /// finalized, waiting in the queue, or being answered by a worker. Because
     /// the ledger is snapshotted under the engine's state lock, this holds
     /// on every snapshot — including ones taken mid-flight.
     pub fn is_consistent(&self) -> bool {
@@ -297,54 +280,22 @@ impl MetricsSnapshot {
     }
 }
 
-struct WorkerStats {
-    batches: AtomicU64,
-    queries: AtomicU64,
-    max_batch: AtomicU64,
-}
-
-impl WorkerStats {
-    fn new() -> Self {
-        WorkerStats {
-            batches: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, batch: usize) {
-        self.batches.fetch_add(1, Relaxed);
-        self.queries.fetch_add(batch as u64, Relaxed);
-        self.max_batch.fetch_max(batch as u64, Relaxed);
-    }
-
-    fn read(&self) -> WorkerMetrics {
-        WorkerMetrics {
-            batches: self.batches.load(Relaxed),
-            queries: self.queries.load(Relaxed),
-            max_batch: self.max_batch.load(Relaxed),
-        }
-    }
-}
-
-/// What a [`QueryEngine`] needs from an index: answer a coalesced batch of
-/// patterns, one outcome per pattern, in order.
+/// What a [`QueryEngine`] needs from an index: answer patterns, one
+/// outcome per pattern, in order.
 ///
-/// Every [`SpineOps`] index gets this for free via a blanket impl
-/// that resolves the whole batch in one call
-/// ([`crate::occurrences::try_find_all_ends_batch`]: a link walk per
-/// pattern, or one shared backbone scan without children lists) and answers in
+/// Every [`SpineOps`] index gets this for free via a blanket impl that
+/// answers each pattern with [`crate::occurrences::try_find_all_ends`] in
 /// concatenation coordinates ([`QueryOutcome::Done`]). Composite stores
 /// (the segmented LSM index) implement it directly and answer per document
 /// ([`QueryOutcome::DoneDocs`]). Either way the engine's queueing,
 /// deadlines, shedding, panic isolation, and ledger accounting apply
 /// unchanged.
 pub trait ServeIndex: Send + Sync {
-    /// Resolve `patterns` (a worker's coalesced batch); the returned vector
-    /// must have exactly one outcome per pattern, in order. Failures are
-    /// per-pattern: a storage fault in one pattern's resolution should fail
-    /// only that pattern. A panic fails the whole batch (the engine catches
-    /// it, fails every request in the batch, and respawns the worker).
+    /// Resolve `patterns`; the returned vector must have exactly one
+    /// outcome per pattern, in order. The engine's workers pass one pattern
+    /// per call. Failures are per-pattern: a storage fault in one pattern's
+    /// resolution should fail only that pattern. A panic fails the request
+    /// (the engine catches it and respawns the worker).
     fn answer_patterns(&self, patterns: &[&[Code]]) -> Vec<QueryOutcome>;
 
     /// Snapshot of the index's work counters, aggregated over whatever
@@ -352,51 +303,23 @@ pub trait ServeIndex: Send + Sync {
     fn counters_snapshot(&self) -> CountersSnapshot;
 }
 
-/// The batching path every single-backbone engine shares: locate each
-/// pattern's valid path, then enumerate all located patterns at once.
+/// The path every single-backbone engine shares: locate each pattern's
+/// valid path, then enumerate its occurrences.
 impl<S: SpineOps + Send + Sync> ServeIndex for S {
     fn answer_patterns(&self, patterns: &[&[Code]]) -> Vec<QueryOutcome> {
-        let located: Vec<Located> = patterns
+        patterns
             .iter()
             .map(|p| {
-                if p.is_empty() {
-                    return Located::Empty;
-                }
-                match try_locate(self, p) {
-                    Ok(Some(first)) => {
-                        Located::At(Target { first_end: first, len: p.len() as u32 })
-                    }
-                    Ok(None) => Located::Absent,
-                    Err(e) => Located::Error(e.to_string()),
-                }
-            })
-            .collect();
-        let targets: Vec<Target> = located
-            .iter()
-            .filter_map(|l| match l {
-                Located::At(t) => Some(*t),
-                _ => None,
-            })
-            .collect();
-        let scanned: std::result::Result<_, String> =
-            try_find_all_ends_batch(self, &targets).map_err(|e| e.to_string());
-        located
-            .iter()
-            .map(|l| match (l, &scanned) {
                 // The empty pattern ends at every node (serial
                 // `find_all_ends` agrees: its enumeration from the root
                 // accepts all of 0..=n).
-                (Located::Empty, _) => {
-                    QueryOutcome::Done((0..=self.text_len() as NodeId).collect())
+                if p.is_empty() {
+                    return QueryOutcome::Done((0..=self.text_len() as NodeId).collect());
                 }
-                (Located::Absent, _) => QueryOutcome::Done(Vec::new()),
-                (Located::Error(e), _) => QueryOutcome::Failed(e.clone()),
-                // Duplicate targets share one entry in the scan result, so
-                // clone rather than remove. (remove would starve the twin.)
-                (Located::At(t), Ok(map)) => {
-                    QueryOutcome::Done(map.get(t).cloned().unwrap_or_default())
+                match try_find_all_ends(self, p) {
+                    Ok(ends) => QueryOutcome::Done(ends),
+                    Err(e) => QueryOutcome::Failed(e.to_string()),
                 }
-                (Located::At(_), Err(e)) => QueryOutcome::Failed(e.clone()),
             })
             .collect()
     }
@@ -446,13 +369,10 @@ struct State {
 struct EngineTelemetry {
     registry: Arc<MetricsRegistry>,
     admission_wait: Arc<Histogram>,
-    batch_formation: Arc<Histogram>,
     index_scan: Arc<Histogram>,
     result_merge: Arc<Histogram>,
     /// Submit → publish, per query ("engine.query_latency").
     query_latency: Arc<Histogram>,
-    /// Requests coalesced per batch ("engine.batch_size").
-    batch_size: Arc<Histogram>,
     /// Rolling qps/quantile window fed per published query
     /// ([`QueryEngine::with_observability`]).
     window: Option<Arc<SlidingWindow>>,
@@ -464,11 +384,9 @@ impl EngineTelemetry {
     fn new(registry: Arc<MetricsRegistry>) -> Self {
         EngineTelemetry {
             admission_wait: registry.stage(Stage::AdmissionWait),
-            batch_formation: registry.stage(Stage::BatchFormation),
             index_scan: registry.stage(Stage::IndexScan),
             result_merge: registry.stage(Stage::ResultMerge),
             query_latency: registry.histogram("engine.query_latency"),
-            batch_size: registry.histogram("engine.batch_size"),
             window: None,
             slo: None,
             registry,
@@ -490,7 +408,7 @@ impl EngineTelemetry {
     }
 }
 
-/// Callback invoked after a worker panic is contained (batch failed,
+/// Callback invoked after a worker panic is contained (request failed,
 /// ledger settled) and before the worker respawns. The argument is the
 /// panic message. Runs outside the state lock, so it may do I/O — this is
 /// the flight recorder's postmortem trigger.
@@ -511,7 +429,8 @@ struct Shared {
     work_ready: Condvar,
     all_done: Condvar,
     space_free: Condvar,
-    worker_stats: Vec<WorkerStats>,
+    /// [`ServeIndex::answer_patterns`] calls made by the workers.
+    index_calls: AtomicU64,
     telemetry: Option<EngineTelemetry>,
     panic_hook: Mutex<Option<PanicHook>>,
     completion_hook: Mutex<Option<CompletionHook>>,
@@ -519,7 +438,7 @@ struct Shared {
 
 impl Shared {
     /// Lock the engine state, surviving mutex poisoning: a worker that
-    /// panicked inside `answer_batch` never held this lock, and even if a
+    /// panicked inside `answer_patterns` never held this lock, and even if a
     /// future bug poisons it, serving degraded beats deadlocking `drain`.
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
@@ -589,7 +508,6 @@ impl<S: ServeIndex + 'static> QueryEngine<S> {
 
     fn build(index: Arc<S>, config: EngineConfig, telemetry: Option<EngineTelemetry>) -> Self {
         let workers = config.workers.max(1);
-        let batch_max = config.batch_max.max(1);
         let queue_capacity = config.queue_capacity.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -602,7 +520,7 @@ impl<S: ServeIndex + 'static> QueryEngine<S> {
             work_ready: Condvar::new(),
             all_done: Condvar::new(),
             space_free: Condvar::new(),
-            worker_stats: (0..workers).map(|_| WorkerStats::new()).collect(),
+            index_calls: AtomicU64::new(0),
             telemetry,
             panic_hook: Mutex::new(None),
             completion_hook: Mutex::new(None),
@@ -615,13 +533,12 @@ impl<S: ServeIndex + 'static> QueryEngine<S> {
                     .name(format!("spine-worker-{w}"))
                     .spawn(move || {
                         // Respawn-in-place: a panic escaping `worker_loop`
-                        // (the batch that caused it has already been failed
-                        // and accounted) restarts the loop on this same OS
+                        // (the request that caused it has already been
+                        // failed and accounted) restarts the loop on this same OS
                         // thread, so the pool never shrinks.
                         loop {
-                            let run = catch_unwind(AssertUnwindSafe(|| {
-                                worker_loop(&*index, &shared, w, batch_max)
-                            }));
+                            let run =
+                                catch_unwind(AssertUnwindSafe(|| worker_loop(&*index, &shared)));
                             match run {
                                 Ok(()) => return, // clean shutdown
                                 Err(payload) => {
@@ -659,7 +576,7 @@ impl<S: ServeIndex + 'static> QueryEngine<S> {
     }
 
     /// Install a callback fired whenever a worker panic is contained (after
-    /// the batch is failed and accounted, before the worker respawns),
+    /// the request is failed and accounted, before the worker respawns),
     /// with the panic message. Replaces any previous hook. Runs on the
     /// panicking worker's thread, outside the engine's state lock.
     pub fn set_panic_hook(&self, hook: impl Fn(&str) + Send + Sync + 'static) {
@@ -691,7 +608,7 @@ impl<S: ServeIndex + 'static> QueryEngine<S> {
 
     /// [`submit`](Self::submit) with a deadline: if `deadline` passes
     /// before a worker picks the request up, it completes as
-    /// [`QueryOutcome::TimedOut`] without consuming a batch slot.
+    /// [`QueryOutcome::TimedOut`] without index work.
     pub fn submit_with_deadline(
         &self,
         pattern: Vec<Code>,
@@ -747,7 +664,7 @@ impl<S: ServeIndex + 'static> QueryEngine<S> {
     /// accumulated results sorted by [`QueryId`].
     ///
     /// Never hangs: timed-out requests are finalized by workers without
-    /// index work, and a worker panic fails its batch (restoring the
+    /// index work, and a worker panic fails its request (restoring the
     /// in-flight count) before the worker respawns.
     pub fn drain(&self) -> Vec<QueryResult> {
         let mut st = self.shared.lock();
@@ -768,7 +685,7 @@ impl<S: ServeIndex + 'static> QueryEngine<S> {
         let st = self.shared.lock();
         MetricsSnapshot {
             index: self.index.counters_snapshot(),
-            workers: self.shared.worker_stats.iter().map(WorkerStats::read).collect(),
+            index_calls: self.shared.index_calls.load(Relaxed),
             submitted: st.ledger.submitted,
             completed: st.ledger.completed,
             shed: st.ledger.shed,
@@ -843,145 +760,44 @@ impl<S: ServeIndex + 'static> Drop for QueryEngine<S> {
     }
 }
 
-/// One worker: wait for work, coalesce up to `batch_max` live requests
-/// (finalizing expired ones as [`QueryOutcome::TimedOut`] on the way),
-/// resolve them in one index call, publish results, repeat until
-/// shutdown.
+/// One worker: take the first live request (finalizing expired ones as
+/// [`QueryOutcome::TimedOut`] on the way), answer it with one index call,
+/// publish the result, repeat until shutdown.
 ///
-/// A panic inside [`answer_batch`] (e.g. an index whose accessors panic) is
-/// caught here just long enough to fail the batch's requests and restore the
-/// accounting, then re-raised so the spawn loop in [`QueryEngine::new`] can
-/// count the respawn.
-fn worker_loop<S: ServeIndex + ?Sized>(index: &S, shared: &Shared, who: usize, batch_max: usize) {
+/// A panic inside [`answer_one`] (e.g. an index whose accessors panic) is
+/// caught here just long enough to publish the request as
+/// [`QueryOutcome::Failed`], which restores the accounting so `drain`
+/// cannot hang, then re-raised so the spawn loop in [`QueryEngine::new`]
+/// can count the respawn.
+fn worker_loop<S: ServeIndex + ?Sized>(index: &S, shared: &Shared) {
     let telemetry = shared.telemetry.as_ref();
-    loop {
-        // Submit instants of the batch's requests, kept so publish can
-        // record end-to-end latencies; empty when telemetry is off.
-        let mut submitted_at: Vec<Instant> = Vec::new();
-        // Ids finalized by this iteration, accumulated so the completion
-        // hook can fire for each after the state lock is released.
-        let mut finalized: Vec<QueryId> = Vec::new();
-        let (batch, formation): (Vec<Request>, Duration) = {
-            let mut st = shared.lock();
-            let mut batch = Vec::new();
-            let formation;
-            loop {
-                if !st.pending.is_empty() {
-                    // Formation time covers only the coalescing pass, never
-                    // the condvar waits below — it is worker *busy* time.
-                    let form_start = Instant::now();
-                    let now = form_start;
-                    let mut expired = 0u64;
-                    while batch.len() < batch_max {
-                        let Some(req) = st.pending.pop_front() else { break };
-                        if req.deadline.is_some_and(|d| d <= now) {
-                            // Deadline passed while queued: finalize without
-                            // spending a batch slot or any index work.
-                            finalized.push(req.id);
-                            st.done.push(QueryResult {
-                                id: req.id,
-                                pattern: req.pattern,
-                                outcome: QueryOutcome::TimedOut,
-                            });
-                            expired += 1;
-                        } else {
-                            if let Some(t) = telemetry {
-                                t.admission_wait.record(now - req.submitted_at);
-                            }
-                            batch.push(req);
-                        }
-                    }
-                    if expired > 0 {
-                        st.ledger.timed_out += expired;
-                        shared.space_free.notify_all();
-                    }
-                    if !batch.is_empty() {
-                        formation = form_start.elapsed();
-                        break;
-                    }
-                    // Everything we popped had expired; the queue may be
-                    // empty now, so fall through to the wait/shutdown checks.
-                    shared.notify_if_idle(&st);
-                    if st.pending.is_empty() {
-                        if st.shutdown {
-                            drop(st);
-                            fire_completions(shared, &mut finalized);
-                            return;
-                        }
-                        if !finalized.is_empty() {
-                            // Fire the hook for the expired requests before
-                            // sleeping — their results are already published
-                            // and a hook user (e.g. a latency recorder) must
-                            // not wait for the next submission to wake us.
-                            drop(st);
-                            fire_completions(shared, &mut finalized);
-                            st = shared.lock();
-                            continue;
-                        }
-                        st = shared.wait(&shared.work_ready, st);
-                    }
-                    continue;
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = shared.wait(&shared.work_ready, st);
-            }
-            st.in_flight += batch.len();
-            drop(st);
-            shared.space_free.notify_all();
-            (batch, formation)
-        };
-        // Expired requests finalized during formation, fired now that the
-        // lock is released.
+    // Ids finalized but not yet reported to the completion hook, which
+    // fires only once the state lock is released.
+    let mut finalized: Vec<QueryId> = Vec::new();
+    while let Some(req) = next_live(shared, &mut finalized) {
         fire_completions(shared, &mut finalized);
-        shared.worker_stats[who].record(batch.len());
-        if let Some(t) = telemetry {
-            t.batch_formation.record(formation);
-            t.batch_size.record_value(batch.len() as u64);
-            submitted_at = batch.iter().map(|r| r.submitted_at).collect();
-        }
-
         let scan_start = Instant::now();
-        let results = match catch_unwind(AssertUnwindSafe(|| answer_batch(index, &batch))) {
-            Ok(results) => results,
-            Err(payload) => {
-                // Poisoned batch: every request in it fails, the in-flight
-                // count is restored so `drain` cannot hang, and the panic
-                // continues upward to be counted as a respawn.
-                let msg = panic_message(payload.as_ref());
-                finalized.extend(batch.iter().map(|r| r.id));
-                let mut st = shared.lock();
-                st.in_flight -= batch.len();
-                st.ledger.failed += batch.len() as u64;
-                for req in batch {
-                    st.done.push(QueryResult {
-                        id: req.id,
-                        pattern: req.pattern,
-                        outcome: QueryOutcome::Failed(format!("worker panicked: {msg}")),
-                    });
+        shared.index_calls.fetch_add(1, Relaxed);
+        let (outcome, panic) =
+            match catch_unwind(AssertUnwindSafe(|| answer_one(index, &req.pattern))) {
+                Ok(outcome) => (outcome, None),
+                Err(payload) => {
+                    let msg = format!("worker panicked: {}", panic_message(payload.as_ref()));
+                    (QueryOutcome::Failed(msg), Some(payload))
                 }
-                shared.notify_if_idle(&st);
-                drop(st);
-                fire_completions(shared, &mut finalized);
-                resume_unwind(payload);
-            }
-        };
-        let scan_elapsed = scan_start.elapsed();
+            };
+        let merge_start = Instant::now();
         if let Some(t) = telemetry {
-            t.index_scan.record(scan_elapsed);
+            t.index_scan.record(merge_start - scan_start);
         }
 
-        let merge_start = Instant::now();
         let mut st = shared.lock();
-        st.in_flight -= batch.len();
-        for r in &results {
-            match r.outcome {
-                QueryOutcome::Done(_) | QueryOutcome::DoneDocs(_) => st.ledger.completed += 1,
-                QueryOutcome::TimedOut => st.ledger.timed_out += 1,
-                QueryOutcome::Failed(_) => st.ledger.failed += 1,
-            };
-        }
+        st.in_flight -= 1;
+        match outcome {
+            QueryOutcome::Done(_) | QueryOutcome::DoneDocs(_) => st.ledger.completed += 1,
+            QueryOutcome::TimedOut => st.ledger.timed_out += 1,
+            QueryOutcome::Failed(_) => st.ledger.failed += 1,
+        };
         if let Some(t) = telemetry {
             // Recorded before notify_if_idle wakes drainers, so a snapshot
             // taken after `drain` returns deterministically covers every
@@ -989,19 +805,67 @@ fn worker_loop<S: ServeIndex + ?Sized>(index: &S, shared: &Shared, who: usize, b
             // mutex nests inside the state lock (never the reverse).
             let published = Instant::now();
             t.result_merge.record(published - merge_start);
-            // One span per batch, one per query (submit → publish).
-            t.registry.record_span(format!("w{who}.batch"), scan_start, published - scan_start);
-            for (r, at) in results.iter().zip(&submitted_at) {
-                let latency = published - *at;
-                t.record_latency(latency, r.outcome.is_answered());
-                t.registry.record_span(format!("q{}", r.id), *at, latency);
-            }
+            let latency = published - req.submitted_at;
+            t.record_latency(latency, outcome.is_answered());
+            t.registry.record_span(format!("q{}", req.id), req.submitted_at, latency);
         }
-        finalized.extend(results.iter().map(|r| r.id));
-        st.done.extend(results);
+        finalized.push(req.id);
+        // The pattern moves into the result: the worker allocates nothing
+        // that outlives the request.
+        st.done.push(QueryResult { id: req.id, pattern: req.pattern, outcome });
         shared.notify_if_idle(&st);
         drop(st);
         fire_completions(shared, &mut finalized);
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+    }
+}
+
+/// Wait for the first live request and mark it in flight. Requests whose
+/// deadline has passed are finalized as [`QueryOutcome::TimedOut`] on the
+/// way, without index work, and their ids pushed onto `finalized`. `None`
+/// once the engine shuts down with the queue empty.
+fn next_live(shared: &Shared, finalized: &mut Vec<QueryId>) -> Option<Request> {
+    let telemetry = shared.telemetry.as_ref();
+    let mut st = shared.lock();
+    loop {
+        let Some(req) = st.pending.pop_front() else {
+            if !finalized.is_empty() {
+                // Report the expired requests before sleeping: their results
+                // are published, and a hook user (e.g. a latency recorder)
+                // must not wait for the next submission to wake us.
+                shared.notify_if_idle(&st);
+                drop(st);
+                fire_completions(shared, finalized);
+                st = shared.lock();
+                continue;
+            }
+            if st.shutdown {
+                return None;
+            }
+            st = shared.wait(&shared.work_ready, st);
+            continue;
+        };
+        let now = Instant::now();
+        if req.deadline.is_some_and(|d| d <= now) {
+            st.ledger.timed_out += 1;
+            finalized.push(req.id);
+            st.done.push(QueryResult {
+                id: req.id,
+                pattern: req.pattern,
+                outcome: QueryOutcome::TimedOut,
+            });
+            shared.space_free.notify_all();
+            continue;
+        }
+        if let Some(t) = telemetry {
+            t.admission_wait.record(now - req.submitted_at);
+        }
+        st.in_flight += 1;
+        drop(st);
+        shared.space_free.notify_all();
+        return Some(req);
     }
 }
 
@@ -1030,37 +894,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// Per-request fate after the locate phase, before the shared scan.
-enum Located {
-    /// Empty pattern: answered positionally, no scan needed.
-    Empty,
-    /// Pattern does not occur; answers with no occurrences.
-    Absent,
-    /// First occurrence found; the shared scan resolves the rest.
-    At(Target),
-    /// Storage failure during the valid-path walk.
-    Error(String),
-}
-
-/// Resolve a coalesced batch through the index's [`ServeIndex`] surface and
-/// pair each outcome back with its request.
+/// Answer one pattern through the index's [`ServeIndex`] surface.
 ///
-/// Failure is per-request (the contract `answer_patterns` documents); an
-/// index that returns the wrong number of outcomes panics here, which the
-/// worker's catch_unwind turns into a failed batch plus a respawn.
-fn answer_batch<S: ServeIndex + ?Sized>(index: &S, batch: &[Request]) -> Vec<QueryResult> {
-    let patterns: Vec<&[Code]> = batch.iter().map(|r| r.pattern.as_slice()).collect();
-    let outcomes = index.answer_patterns(&patterns);
+/// An index that returns the wrong number of outcomes panics here, which
+/// the worker's catch_unwind turns into a failed request plus a respawn.
+fn answer_one<S: ServeIndex + ?Sized>(index: &S, pattern: &[Code]) -> QueryOutcome {
+    let mut outcomes = index.answer_patterns(std::slice::from_ref(&pattern));
     assert_eq!(
         outcomes.len(),
-        batch.len(),
+        1,
         "ServeIndex::answer_patterns must return one outcome per pattern"
     );
-    batch
-        .iter()
-        .zip(outcomes)
-        .map(|(r, outcome)| QueryResult { id: r.id, pattern: r.pattern.clone(), outcome })
-        .collect()
+    outcomes.pop().expect("length checked")
 }
 
 #[cfg(test)]
@@ -1094,7 +939,7 @@ mod tests {
         let rs = engine.drain();
         assert!(
             matches!(&rs[0].outcome, QueryOutcome::Failed(m) if m.contains("bomb")),
-            "batch must fail with the panic message: {rs:?}"
+            "request must fail with the panic message: {rs:?}"
         );
         // The hook runs on the worker thread after the drain notification;
         // give it a bounded moment.
@@ -1112,7 +957,7 @@ mod tests {
     fn paper_engine(workers: usize) -> (Alphabet, QueryEngine<Spine>) {
         let a = Alphabet::dna();
         let s = Spine::build_from_bytes(a.clone(), b"AACCACAACA").unwrap();
-        let cfg = EngineConfig { workers, batch_max: 4, ..Default::default() };
+        let cfg = EngineConfig { workers, ..Default::default() };
         (a.clone(), QueryEngine::new(Arc::new(s), cfg))
     }
 
@@ -1173,7 +1018,8 @@ mod tests {
 
     #[test]
     fn duplicate_patterns_each_get_answers() {
-        let (a, engine) = paper_engine(1); // one worker ⇒ one coalesced batch
+        // Duplicates share nothing: each is its own index call.
+        let (a, engine) = paper_engine(2);
         let ca = a.encode(b"CA").unwrap();
         for admitted in engine.submit_batch(vec![ca.clone(), ca.clone(), ca.clone(), ca]) {
             admitted.unwrap();
@@ -1182,7 +1028,9 @@ mod tests {
         assert_eq!(results.len(), 4);
         for r in results {
             assert_eq!(r.expect_ends(), [5, 7, 10]);
+            assert_eq!(r.pattern, a.encode(b"CA").unwrap());
         }
+        assert_eq!(engine.metrics().index_calls, 4);
     }
 
     #[test]
@@ -1195,7 +1043,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_batches_and_queries() {
+    fn metrics_count_index_calls_and_queries() {
         let (a, engine) = paper_engine(1);
         for admitted in engine.submit_batch((0..10).map(|_| a.encode(b"AC").unwrap())) {
             admitted.unwrap();
@@ -1205,28 +1053,28 @@ mod tests {
         assert_eq!(m.submitted, 10);
         assert_eq!(m.completed, 10);
         assert_eq!(m.accounted(), m.submitted);
-        assert_eq!(m.workers.iter().map(|w| w.queries).sum::<u64>(), 10);
-        // batch_max = 4 ⇒ at least ⌈10/4⌉ = 3 batches, and coalescing means
-        // strictly fewer batches than queries.
-        let batches = m.batches();
-        assert!((3..=10).contains(&batches), "batches = {batches}");
+        // One index call per answered request, however the queue filled.
+        assert_eq!((m.index_calls, m.batches()), (10, 10));
         assert!(m.index.nodes_checked > 0);
         assert!(m.index.children_visited > 0, "the reference layout answers by link walk");
         assert!(m.peak_queue_depth >= 1);
-        assert!(m.mean_batch() >= 1.0);
+        assert_eq!(m.mean_batch(), 1.0);
         assert_eq!(m.worker_respawns, 0);
     }
 
     #[test]
-    fn mean_batch_counts_batched_queries_only() {
-        // Regression: mean_batch divided `completed` by the batch count, so
-        // a traced query (answered outside any batch) inflated it to 2.0.
+    fn index_calls_leave_out_traced_and_expired_queries() {
+        // A traced query is answered on the caller's thread and an expired
+        // one with no index work: neither is a worker's index call.
         let (a, engine) = paper_engine(1);
+        assert_eq!(engine.metrics().mean_batch(), 0.0, "idle");
         engine.submit_traced(a.encode(b"CA").unwrap());
+        let past = Instant::now() - Duration::from_secs(1);
+        engine.submit_with_deadline(a.encode(b"CA").unwrap(), past).unwrap();
         engine.submit(a.encode(b"AC").unwrap()).unwrap();
         engine.drain();
         let m = engine.metrics();
-        assert_eq!((m.completed, m.batches()), (2, 1));
+        assert_eq!((m.completed, m.timed_out, m.index_calls), (2, 1, 1));
         assert_eq!(m.mean_batch(), 1.0);
     }
 
@@ -1234,7 +1082,7 @@ mod tests {
     fn works_over_the_compact_layout() {
         let a = Alphabet::dna();
         let c = CompactSpine::build_from_bytes(a.clone(), b"AACCACAACA").unwrap();
-        let cfg = EngineConfig { workers: 2, batch_max: 8, ..Default::default() };
+        let cfg = EngineConfig { workers: 2, ..Default::default() };
         let engine = QueryEngine::new(Arc::new(c), cfg);
         engine.submit(a.encode(b"AAC").unwrap()).unwrap();
         let r = engine.drain();
@@ -1307,7 +1155,7 @@ mod tests {
         // fast as possible while queries stream through the engine.
         let a = Alphabet::dna();
         let s = Spine::build_from_bytes(a.clone(), &b"ACGTACGTGGTTAACC".repeat(32)).unwrap();
-        let cfg = EngineConfig { workers: 3, batch_max: 4, ..Default::default() };
+        let cfg = EngineConfig { workers: 3, ..Default::default() };
         let engine = QueryEngine::new(Arc::new(s), cfg);
         let pat = a.encode(b"ACGT").unwrap();
         std::thread::scope(|scope| {
@@ -1344,7 +1192,7 @@ mod tests {
         let a = Alphabet::dna();
         let s = Spine::build_from_bytes(a.clone(), b"AACCACAACA").unwrap();
         let registry = Arc::new(MetricsRegistry::new());
-        let cfg = EngineConfig { workers: 2, batch_max: 4, ..Default::default() };
+        let cfg = EngineConfig { workers: 2, ..Default::default() };
         let engine = QueryEngine::with_telemetry(Arc::new(s), cfg, Arc::clone(&registry));
         assert!(engine.registry().is_some());
         for _ in 0..10 {
@@ -1352,20 +1200,17 @@ mod tests {
         }
         engine.drain();
         let snap = registry.snapshot();
-        for stage in
-            [Stage::AdmissionWait, Stage::BatchFormation, Stage::IndexScan, Stage::ResultMerge]
-        {
+        for stage in [Stage::AdmissionWait, Stage::IndexScan, Stage::ResultMerge] {
             let h = snap.stage(stage).unwrap_or_else(|| panic!("{stage:?} not registered"));
-            assert!(!h.is_empty(), "{stage:?} recorded nothing");
+            assert_eq!(h.count, 10, "{stage:?} records once per query");
         }
         let lat = snap.histogram("engine.query_latency").unwrap();
         assert_eq!(lat.count, 10);
         assert!(lat.p50() <= lat.p99());
-        let sizes = snap.histogram("engine.batch_size").unwrap();
-        assert!(sizes.max >= 1 && sizes.max <= 4);
-        // Per-query and per-batch spans both present.
-        assert!(snap.spans.iter().any(|s| s.name.starts_with('q')));
-        assert!(snap.spans.iter().any(|s| s.name.contains(".batch")));
+        // One span per query and nothing else: no batch spans or sizes.
+        assert_eq!(snap.spans.len(), 10);
+        assert!(snap.spans.iter().all(|s| s.name.starts_with('q')));
+        assert!(snap.histogram("engine.batch_size").is_none());
         // A plain engine records nothing and has no registry.
         let plain = paper_engine(1).1;
         assert!(plain.registry().is_none());

@@ -50,7 +50,7 @@
 //! ```
 //!
 //! Modules: [`build`] (online construction), [`search`] (valid-path
-//! traversal), [`engine`] (concurrent batched query serving),
+//! traversal), [`engine`] (concurrent query serving),
 //! [`occurrences`] (all-occurrence enumeration: the reverse-link walk and
 //! the paper's backbone scan),
 //! [`matching`] (matching statistics & maximal matches), [`compact`] (the

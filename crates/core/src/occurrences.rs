@@ -25,7 +25,7 @@
 //!   against and the paper's reproductions time.
 //!
 //! Enumeration dispatches once, in [`try_occurrences_from_traced`] and
-//! [`try_find_all_ends_batch`], on [`SpineOps::keeps_link_children`].
+//! [`find_all_ends_batch`], on [`SpineOps::keeps_link_children`].
 //! Structures that keep the lists walk: the in-memory [`crate::Spine`] and
 //! [`crate::GeneralizedSpine`], and a sealed [`crate::DiskSpine`] (so every
 //! [`crate::SegmentedSpine`] segment), whose records store each node's
@@ -178,29 +178,23 @@ pub struct Target {
 /// Returns, for each target (keyed by value, deduplicated), the ascending
 /// list of occurrence-end nodes: one link walk per target where the
 /// structure keeps children lists, one shared backbone scan otherwise.
+///
+/// # Panics
+/// On a storage error.
 pub fn find_all_ends_batch<S: SpineOps + ?Sized>(
     s: &S,
     targets: &[Target],
 ) -> FxHashMap<Target, Vec<NodeId>> {
-    try_find_all_ends_batch(s, targets).expect(INFALLIBLE_BOUNDARY)
-}
-
-/// Fallible [`find_all_ends_batch`]: the scan stops at the first storage
-/// failure and surfaces it as `Err` (no partial result escapes).
-pub fn try_find_all_ends_batch<S: SpineOps + ?Sized>(
-    s: &S,
-    targets: &[Target],
-) -> Result<FxHashMap<Target, Vec<NodeId>>> {
     if !s.keeps_link_children() {
-        return try_backbone_scan_batch(s, targets);
+        return backbone_scan_batch(s, targets);
     }
     let mut result: FxHashMap<Target, Vec<NodeId>> = FxHashMap::default();
     for &t in targets {
-        if let std::collections::hash_map::Entry::Vacant(e) = result.entry(t) {
-            e.insert(try_link_walk(s, &mut NoTrace, t.first_end, t.len)?);
-        }
+        result.entry(t).or_insert_with(|| {
+            try_link_walk(s, &mut NoTrace, t.first_end, t.len).expect(INFALLIBLE_BOUNDARY)
+        });
     }
-    Ok(result)
+    result
 }
 
 /// The paper's batched backbone scan: every target resolved in one pass,
@@ -209,17 +203,13 @@ pub fn try_find_all_ends_batch<S: SpineOps + ?Sized>(
 ///
 /// The scan is O(n + total occurrences): each node consults a hash map from
 /// "node already in some target buffer" to the targets that buffered it.
+///
+/// # Panics
+/// On a storage error.
 pub fn backbone_scan_batch<S: SpineOps + ?Sized>(
     s: &S,
     targets: &[Target],
 ) -> FxHashMap<Target, Vec<NodeId>> {
-    try_backbone_scan_batch(s, targets).expect(INFALLIBLE_BOUNDARY)
-}
-
-fn try_backbone_scan_batch<S: SpineOps + ?Sized>(
-    s: &S,
-    targets: &[Target],
-) -> Result<FxHashMap<Target, Vec<NodeId>>> {
     let mut result: FxHashMap<Target, Vec<NodeId>> = FxHashMap::default();
     // node id -> indices of targets whose buffer contains that node.
     let mut buffered: FxHashMap<NodeId, Vec<u32>> = FxHashMap::default();
@@ -233,12 +223,12 @@ fn try_backbone_scan_batch<S: SpineOps + ?Sized>(
         uniq.push(t);
     }
     if uniq.is_empty() {
-        return Ok(result);
+        return result;
     }
     let start = uniq.iter().map(|t| t.first_end).min().unwrap() + 1;
     let n = s.text_len() as NodeId;
     for j in start..=n {
-        let (dest, lel) = s.try_link_of(j)?;
+        let (dest, lel) = s.link_of(j);
         let Some(hits) = buffered.get(&dest) else {
             continue;
         };
@@ -256,7 +246,7 @@ fn try_backbone_scan_batch<S: SpineOps + ?Sized>(
         }
         buffered.entry(j).or_default().extend(added);
     }
-    Ok(result)
+    result
 }
 
 #[cfg(test)]

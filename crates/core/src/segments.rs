@@ -71,6 +71,7 @@ use crate::generalized::{DocMatch, GeneralizedSpine};
 use crate::journal::{self, JournalEvent, JournalKind, JOURNAL_FILE};
 use crate::manifest::{Manifest, SegmentEntry};
 use crate::observe::{MergeObserver, MergePhase, MergeTimes, NoMergeObserver};
+use crate::occurrences::try_find_all_ends;
 use crate::ops::SpineOps;
 use crate::trace::QueryTrace;
 
@@ -971,13 +972,7 @@ impl SegmentedSpine {
     /// All occurrences of `pattern` across live documents, as
     /// `(global doc id, offset)` matches ordered by (doc, offset).
     pub fn try_find_all(&self, pattern: &[Code]) -> Result<Vec<DocMatch>> {
-        match self.answer_patterns(&[pattern]).pop().expect("one outcome per pattern") {
-            QueryOutcome::DoneDocs(ms) => Ok(ms),
-            QueryOutcome::Failed(e) => {
-                Err(Error::Io { source: std::io::Error::other(e), ctx: None })
-            }
-            other => unreachable!("segmented answer is DoneDocs or Failed, got {other:?}"),
-        }
+        answer(&self.snapshot(), pattern)
     }
 
     /// Per-component EXPLAIN: the memtable's trace plus each sealed
@@ -1085,111 +1080,18 @@ impl SegmentedSpine {
     }
 }
 
-/// Queries resolve against a snapshot, component by component: the
-/// memtable and each segment run the shared single-backbone batch path
-/// (locate each pattern, then one link walk per located pattern), then concatenation
-/// ends are localized to `(doc, offset)`, filtered through the snapshot's
-/// tombstones and retired flags, and merged. Failures are per-pattern: a
-/// storage fault in one segment fails the patterns it was resolving, not
-/// the batch.
+/// Queries resolve against a snapshot, one pattern at a time
+/// (`answer`). Failures are per-pattern: a storage fault in one segment
+/// fails the pattern it was resolving, and only here does the typed error
+/// become the [`QueryOutcome::Failed`] message.
 impl ServeIndex for SegmentedSpine {
     fn answer_patterns(&self, patterns: &[&[Code]]) -> Vec<QueryOutcome> {
-        type Acc = std::result::Result<Vec<DocMatch>, String>;
         let snap = self.snapshot();
-        let mut acc: Vec<Acc> = patterns.iter().map(|_| Ok(Vec::new())).collect();
-
-        // The empty pattern occurs at every position of every live
-        // document, boundaries included (the per-document analogue of the
-        // single-backbone `0..=n` answer).
-        let empty_answer: Option<Vec<DocMatch>> =
-            patterns.iter().any(|p| p.is_empty()).then(|| {
-                let mut ms = Vec::new();
-                {
-                    let st = snap.memtable.state.read();
-                    for (local, &id) in st.doc_ids.iter().take(snap.mem_docs).enumerate() {
-                        if snap.mem_retired[local] || snap.tombstones.contains(&id) {
-                            continue;
-                        }
-                        for off in 0..=st.index.doc_len(local) {
-                            ms.push(DocMatch { doc: id as usize, offset: off });
-                        }
-                    }
-                }
-                for seg in snap.segments.iter() {
-                    for (i, &id) in seg.doc_ids.iter().enumerate() {
-                        if snap.tombstones.contains(&id) {
-                            continue;
-                        }
-                        for off in 0..=seg.doc_lens[i] as usize {
-                            ms.push(DocMatch { doc: id as usize, offset: off });
-                        }
-                    }
-                }
-                ms
-            });
-        for (i, p) in patterns.iter().enumerate() {
-            if p.is_empty() {
-                acc[i] = Ok(empty_answer.clone().expect("computed when any pattern is empty"));
-            }
-        }
-
-        // Memtable component. Ends past the snapshot's concatenation
-        // length belong to documents added after the snapshot; drop them.
-        {
-            let st = snap.memtable.state.read();
-            if snap.mem_docs > 0 {
-                let outs = ServeIndex::answer_patterns(&st.index, patterns);
-                for (i, out) in outs.into_iter().enumerate() {
-                    if patterns[i].is_empty() {
-                        continue;
-                    }
-                    merge_component(
-                        &mut acc[i],
-                        out,
-                        patterns[i].len(),
-                        |start| {
-                            let m = st.index.localize(start);
-                            if m.doc >= snap.mem_docs || snap.mem_retired[m.doc] {
-                                return None;
-                            }
-                            let id = st.doc_ids[m.doc];
-                            (!snap.tombstones.contains(&id))
-                                .then_some(DocMatch { doc: id as usize, offset: m.offset })
-                        },
-                        snap.mem_len,
-                    );
-                }
-            }
-        }
-
-        // Sealed segments.
-        for seg in snap.segments.iter() {
-            let outs = ServeIndex::answer_patterns(&seg.index, patterns);
-            for (i, out) in outs.into_iter().enumerate() {
-                if patterns[i].is_empty() {
-                    continue;
-                }
-                merge_component(
-                    &mut acc[i],
-                    out,
-                    patterns[i].len(),
-                    |start| {
-                        let (id, offset) = seg.localize(start);
-                        (!snap.tombstones.contains(&id))
-                            .then_some(DocMatch { doc: id as usize, offset })
-                    },
-                    usize::MAX,
-                );
-            }
-        }
-
-        acc.into_iter()
-            .map(|r| match r {
-                Ok(mut ms) => {
-                    ms.sort_unstable_by_key(|m| (m.doc, m.offset));
-                    QueryOutcome::DoneDocs(ms)
-                }
-                Err(e) => QueryOutcome::Failed(e),
+        patterns
+            .iter()
+            .map(|p| match answer(&snap, p) {
+                Ok(ms) => QueryOutcome::DoneDocs(ms),
+                Err(e) => QueryOutcome::Failed(e.to_string()),
             })
             .collect()
     }
@@ -1204,33 +1106,78 @@ impl ServeIndex for SegmentedSpine {
     }
 }
 
-/// Fold one component's single-backbone outcome for one pattern into the
-/// per-pattern accumulator: ends → starts → localized matches, respecting
-/// a visibility limit on end positions. An already-failed pattern stays
-/// failed; a component failure fails the pattern.
-fn merge_component(
-    acc: &mut std::result::Result<Vec<DocMatch>, String>,
-    out: QueryOutcome,
-    plen: usize,
-    mut localize: impl FnMut(usize) -> Option<DocMatch>,
-    end_limit: usize,
-) {
-    let Ok(ms) = acc.as_mut() else { return };
-    match out {
-        QueryOutcome::Done(ends) => {
-            for e in ends {
-                let end = e as usize;
-                if end > end_limit {
-                    continue;
-                }
-                if let Some(m) = localize(end - plen) {
-                    ms.push(m);
-                }
+/// Every live occurrence of `pattern` in `snap`, ordered by (doc, offset).
+/// The vector carries no spare capacity: the engine holds published
+/// answers until they are drained.
+fn answer(snap: &Snapshot, pattern: &[Code]) -> Result<Vec<DocMatch>> {
+    let mut ms =
+        if pattern.is_empty() { every_position(snap) } else { occurrences(snap, pattern)? };
+    ms.sort_unstable_by_key(|m| (m.doc, m.offset));
+    ms.shrink_to_fit();
+    Ok(ms)
+}
+
+/// A non-empty pattern's live occurrences, unordered. The memtable and
+/// each segment answer in their own concatenation coordinates
+/// ([`try_find_all_ends`]); the ends are localized to `(doc, offset)` and
+/// filtered through the snapshot's tombstones and retired flags.
+fn occurrences(snap: &Snapshot, pattern: &[Code]) -> Result<Vec<DocMatch>> {
+    let mut ms = Vec::new();
+    let plen = pattern.len();
+    if snap.mem_docs > 0 {
+        let st = snap.memtable.state.read();
+        for end in try_find_all_ends(&st.index, pattern)? {
+            // Ends past the snapshot's concatenation length belong to
+            // documents added after the snapshot; drop them.
+            let end = end as usize;
+            if end > snap.mem_len {
+                continue;
+            }
+            let m = st.index.localize(end - plen);
+            if m.doc >= snap.mem_docs || snap.mem_retired[m.doc] {
+                continue;
+            }
+            let id = st.doc_ids[m.doc];
+            if !snap.tombstones.contains(&id) {
+                ms.push(DocMatch { doc: id as usize, offset: m.offset });
             }
         }
-        QueryOutcome::Failed(e) => *acc = Err(e),
-        other => *acc = Err(format!("unexpected component outcome {other:?}")),
     }
+    for seg in snap.segments.iter() {
+        for end in try_find_all_ends(&seg.index, pattern)? {
+            let (id, offset) = seg.localize(end as usize - plen);
+            if !snap.tombstones.contains(&id) {
+                ms.push(DocMatch { doc: id as usize, offset });
+            }
+        }
+    }
+    Ok(ms)
+}
+
+/// The empty pattern's answer: every position of every live document,
+/// boundaries included (the per-document analogue of the single-backbone
+/// `0..=n` answer).
+fn every_position(snap: &Snapshot) -> Vec<DocMatch> {
+    let mut ms = Vec::new();
+    let mut push_doc = |id: u64, len: usize| {
+        ms.extend((0..=len).map(|offset| DocMatch { doc: id as usize, offset }));
+    };
+    {
+        let st = snap.memtable.state.read();
+        for (local, &id) in st.doc_ids.iter().take(snap.mem_docs).enumerate() {
+            if !snap.mem_retired[local] && !snap.tombstones.contains(&id) {
+                push_doc(id, st.index.doc_len(local));
+            }
+        }
+    }
+    for seg in snap.segments.iter() {
+        for (&id, &len) in seg.doc_ids.iter().zip(&seg.doc_lens) {
+            if !snap.tombstones.contains(&id) {
+                push_doc(id, len as usize);
+            }
+        }
+    }
+    ms
 }
 
 /// Charge the wall time since `t` to phase `p` on the internal accumulator
@@ -1429,6 +1376,39 @@ mod tests {
         assert_eq!(s.live_doc_ids(), vec![0]);
         assert_eq!(s.document(d0).unwrap().unwrap(), enc(&a, "ACGTACGT"));
         assert_eq!(s.document(d1).unwrap(), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn try_find_all_returns_the_segment_read_error_typed() {
+        // A small pool with nothing pinned: the query must read the sealed
+        // segment from its device.
+        let a = dna();
+        let dir = tmpdir("typed-error");
+        let gate = IoGate::unarmed();
+        let cfg = SegmentConfig {
+            pool_pages: 2,
+            hot_pin_pages: 0,
+            gate: Some(gate.clone()),
+            ..SegmentConfig::default()
+        };
+        let s = SegmentedSpine::create(a.clone(), &dir, cfg).unwrap();
+        s.add_document(&enc(&a, &"ACGTTGCAAC".repeat(400))).unwrap();
+        assert!(s.force_seal().unwrap());
+        assert_eq!(s.stats().segments, 1);
+        // Arm the gate so its next operation fails.
+        gate.inner.fail_from.store(gate.ops(), Ordering::Relaxed);
+        gate.inner.armed.store(true, Ordering::Relaxed);
+        let err = s.try_find_all(&enc(&a, "GCAACACG")).unwrap_err();
+        match &err {
+            Error::Io { ctx: Some(c), .. } => assert_eq!(c.op, IoOp::Read, "{err}"),
+            other => panic!("expected a typed read error, got {other:?}"),
+        }
+        assert!(!err.is_transient());
+        // The engine surface reports the same failure as a message.
+        let out = s.answer_patterns(&[&enc(&a, "GCAACACG")]);
+        assert!(matches!(&out[..], [QueryOutcome::Failed(m)] if m.contains("injected")), "{out:?}");
+        drop(s);
         let _ = fs::remove_dir_all(&dir);
     }
 

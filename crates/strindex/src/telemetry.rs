@@ -14,8 +14,8 @@
 //!   quantile estimates. Values are nanoseconds for latencies, but any
 //!   `u64` works (page counts, batch sizes).
 //! * [`Stage`] — the per-stage timing vocabulary of the query engine
-//!   (admission wait, batch formation, index scan, result merge, retry
-//!   backoff), so every layer records under the same names.
+//!   (admission wait, index scan, result merge, retry backoff, dispatch
+//!   lag), so every layer records under the same names.
 //! * Spans — `registry.record_span(name, start, dur)` appends to a bounded
 //!   ring buffer (oldest entries overwritten); [`RegistrySnapshot::to_text`]
 //!   renders a readable trace.
@@ -248,13 +248,11 @@ impl Counter {
 /// attributes a run's time across the whole path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Submit → batch pick: time a request sat in the admission queue.
+    /// Submit → worker pick: time a request sat in the admission queue.
     AdmissionWait,
-    /// Lock-held time a worker spent coalescing requests into one batch.
-    BatchFormation,
-    /// Time answering a coalesced batch with backbone scans.
+    /// The index call: locate plus enumerate.
     IndexScan,
-    /// Time publishing/merging answers (worker publish, shard merge).
+    /// Time a worker spent publishing an answer.
     ResultMerge,
     /// Backoff slept by the storage retry layer riding out transient faults.
     RetryBackoff,
@@ -267,9 +265,8 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 6] = [
+    pub const ALL: [Stage; 5] = [
         Stage::AdmissionWait,
-        Stage::BatchFormation,
         Stage::IndexScan,
         Stage::ResultMerge,
         Stage::RetryBackoff,
@@ -280,7 +277,6 @@ impl Stage {
     pub fn metric_name(self) -> &'static str {
         match self {
             Stage::AdmissionWait => "stage.admission_wait",
-            Stage::BatchFormation => "stage.batch_formation",
             Stage::IndexScan => "stage.index_scan",
             Stage::ResultMerge => "stage.result_merge",
             Stage::RetryBackoff => "stage.retry_backoff",
@@ -293,7 +289,7 @@ impl Stage {
     /// check `exp serve --metrics` enforces); queue-overlapped stages
     /// (admission wait) and sleep stages (retry backoff) are not.
     pub fn is_worker_busy(self) -> bool {
-        matches!(self, Stage::BatchFormation | Stage::IndexScan | Stage::ResultMerge)
+        matches!(self, Stage::IndexScan | Stage::ResultMerge)
     }
 }
 
@@ -305,7 +301,7 @@ impl Stage {
 /// epoch (its creation instant).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Span label (`"q17"`, `"w0.batch"`, `"sharded.merge"`, …).
+    /// Span label (`"q17"`, `"q3.explain"`, …).
     pub name: String,
     /// Microseconds from the registry epoch to the span start.
     pub start_us: u64,
@@ -838,9 +834,8 @@ impl RegistrySnapshot {
     /// Chrome `trace_event` JSON export of the span ring, loadable in
     /// `chrome://tracing` and Perfetto. Spans become complete (`"ph":"X"`)
     /// events with microsecond timestamps relative to the registry epoch.
-    /// Tracks (`tid`) are assigned by span-name convention: worker spans
-    /// (`w3.batch`) land on track `3 + worker`, per-query spans (`q17`) on
-    /// track 1, everything else on track 2.
+    /// Tracks (`tid`) are assigned by span-name convention: per-query spans
+    /// (`q17`, `q17.explain`) on track 1, everything else on track 2.
     pub fn to_chrome_trace(&self) -> String {
         use std::fmt::Write;
         let mut out = String::from(
@@ -866,16 +861,11 @@ impl RegistrySnapshot {
 /// The Perfetto track a span renders on; see
 /// [`RegistrySnapshot::to_chrome_trace`].
 fn chrome_tid(name: &str) -> u64 {
-    if let Some(rest) = name.strip_prefix('w') {
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        if !digits.is_empty() && rest[digits.len()..].starts_with('.') {
-            return 3 + digits.parse::<u64>().unwrap_or(0);
-        }
-    }
     if name.starts_with('q') {
-        return 1;
+        1
+    } else {
+        2
     }
-    2
 }
 
 /// Escape `s` for inclusion inside a JSON string literal: backslash, quote,
@@ -1986,16 +1976,14 @@ mod tests {
     fn chrome_trace_exports_spans_on_tracks() {
         let r = MetricsRegistry::new();
         r.record_span("q1", r.epoch(), Duration::from_micros(10));
-        r.record_span("w0.batch", r.epoch(), Duration::from_micros(20));
-        r.record_span("sharded.merge", r.epoch(), Duration::from_micros(3));
+        r.record_span("flush", r.epoch(), Duration::from_micros(3));
         let trace = r.snapshot().to_chrome_trace();
         assert!(trace.starts_with("{\"traceEvents\":["));
         assert!(trace.ends_with("}"));
         assert!(trace.contains("\"ph\":\"X\""));
         assert!(trace.contains("\"name\":\"q1\",\"cat\":\"span\",\"ph\":\"X\""));
         assert!(trace.contains("\"tid\":1")); // q1
-        assert!(trace.contains("\"tid\":3")); // w0.batch
-        assert!(trace.contains("\"tid\":2")); // sharded.merge
+        assert!(trace.contains("\"tid\":2")); // flush
     }
 
     #[test]
@@ -2011,7 +1999,7 @@ mod tests {
         let names: std::collections::HashSet<_> =
             Stage::ALL.iter().map(|s| s.metric_name()).collect();
         assert_eq!(names.len(), Stage::ALL.len());
-        assert_eq!(Stage::ALL.iter().filter(|s| s.is_worker_busy()).count(), 3);
+        assert_eq!(Stage::ALL.iter().filter(|s| s.is_worker_busy()).count(), 2);
         assert!(!Stage::AdmissionWait.is_worker_busy());
         assert!(!Stage::RetryBackoff.is_worker_busy());
         assert!(!Stage::DispatchLag.is_worker_busy());

@@ -1,7 +1,7 @@
 //! Concurrent query serving: one immutable SPINE index, a pool of worker
-//! threads, and an admission queue that coalesces patterns into batches
-//! (each resolved by reverse-link walks) — the deployment shape behind the
-//! paper's "integration with database engines" pitch (§6). Document
+//! threads, and an admission queue whose requests each worker answers one
+//! at a time (locate plus a reverse-link walk) — the deployment shape
+//! behind the paper's "integration with database engines" pitch (§6). Document
 //! collections are served the same way by a `SegmentedSpine` behind the
 //! same `QueryEngine`.
 //!
@@ -28,7 +28,7 @@ fn main() {
     // Observability: attach a metrics registry so the engine records
     // per-stage latency histograms and per-query tracing spans as it works.
     let registry = Arc::new(MetricsRegistry::new());
-    let cfg = EngineConfig { workers: 4, batch_max: 32, ..Default::default() };
+    let cfg = EngineConfig { workers: 4, ..Default::default() };
     let engine = QueryEngine::with_telemetry(Arc::clone(&index), cfg, Arc::clone(&registry));
 
     // Simulate request traffic: several client threads submit interleaved
@@ -60,11 +60,8 @@ fn main() {
 
     let m = engine.metrics();
     println!(
-        "coalescing: {} batches for {} queries (mean batch {:.1}, peak queue {})",
-        m.batches(),
-        m.completed,
-        m.mean_batch(),
-        m.peak_queue_depth
+        "engine: {} index calls for {} queries (peak queue {})",
+        m.index_calls, m.completed, m.peak_queue_depth
     );
     println!(
         "index work: {} nodes checked, {} links followed",

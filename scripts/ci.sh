@@ -94,10 +94,10 @@ filtered_test -p spine --lib compact::
 filtered_test -p spine --test properties compact_layout_is_equivalent
 
 echo "== exp scale --quick --check (load harness: curve coverage vs committed BENCH_scale.json)"
-tmp_scale=$(mktemp)
 cargo run --release -q -p spine-bench --bin exp -- scale --quick \
-  --out "$tmp_scale" --check BENCH_scale.json 2>&1 | tail -2
-rm -f "$tmp_scale"
+  --check BENCH_scale.json 2>&1 | tail -2
+# A check without --out must leave the committed baseline untouched.
+git diff --exit-code -- BENCH_scale.json
 
 echo "== load-harness tests (determinism properties + coordinated-omission stall probe)"
 filtered_test -p spine-bench --lib load

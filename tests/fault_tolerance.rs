@@ -5,7 +5,7 @@
 //! * **bounded admission** — a full queue sheds (`RejectNewest`) without
 //!   blocking, and the metrics account for every request:
 //!   `completed + shed + timed_out + failed == submitted`;
-//! * **worker panic isolation** — a panicking index fails only its batch,
+//! * **worker panic isolation** — a panicking index fails only its request,
 //!   `drain` still returns (the historical hang), the worker respawns, and
 //!   the engine keeps serving;
 //! * **storage-fault degradation** — an engine over a [`DiskSpine`] whose
@@ -34,7 +34,7 @@ fn paper_spine() -> (Alphabet, Spine) {
 
 // ---------------------------------------------------------------------------
 // A gate that stalls the index's first accessor until released, so tests can
-// hold a worker mid-batch and fill the admission queue deterministically.
+// hold a worker mid-request and fill the admission queue deterministically.
 // ---------------------------------------------------------------------------
 
 struct Gate {
@@ -127,12 +127,7 @@ fn reject_newest_sheds_deterministically_and_accounts() {
     let capacity = 3usize;
     let engine = QueryEngine::new(
         Arc::clone(&index),
-        EngineConfig {
-            workers: 1,
-            batch_max: 1,
-            queue_capacity: capacity,
-            shed: ShedPolicy::RejectNewest,
-        },
+        EngineConfig { workers: 1, queue_capacity: capacity, shed: ShedPolicy::RejectNewest },
     );
 
     let pat = a.encode(b"CA").unwrap();
@@ -173,7 +168,7 @@ fn block_policy_is_loss_free_under_overload() {
     let (a, s) = paper_spine();
     let engine = QueryEngine::new(
         Arc::new(s),
-        EngineConfig { workers: 2, batch_max: 2, queue_capacity: 2, shed: ShedPolicy::Block },
+        EngineConfig { workers: 2, queue_capacity: 2, shed: ShedPolicy::Block },
     );
     let pat = a.encode(b"AC").unwrap();
     for _ in 0..64 {
@@ -192,7 +187,7 @@ fn block_policy_is_loss_free_under_overload() {
 // ---------------------------------------------------------------------------
 
 /// Panics on the first structural access after arming, then behaves — so
-/// exactly one batch is poisoned.
+/// exactly one request is poisoned.
 struct PanicOnce {
     inner: Spine,
     armed: AtomicBool,
@@ -227,18 +222,15 @@ impl SpineOps for PanicOnce {
     }
 }
 
-/// Regression: a worker dying mid-batch used to strand the batch's
-/// requests in `in_flight`, hanging `drain` forever. Now the poisoned
-/// batch's requests come back as `Failed`, the worker respawns, and the
-/// engine keeps answering.
+/// Regression: a worker dying mid-request used to strand its requests in
+/// `in_flight`, hanging `drain` forever. Now the poisoned request comes
+/// back as `Failed`, the worker respawns, and the engine keeps answering.
 #[test]
 fn worker_panic_fails_batch_without_hanging_drain() {
     let (a, s) = paper_spine();
     let index = Arc::new(PanicOnce { inner: s, armed: AtomicBool::new(true) });
-    let engine = QueryEngine::new(
-        Arc::clone(&index),
-        EngineConfig { workers: 1, batch_max: 4, ..Default::default() },
-    );
+    let engine =
+        QueryEngine::new(Arc::clone(&index), EngineConfig { workers: 1, ..Default::default() });
 
     let pats = [&b"CA"[..], b"AC", b"A"];
     for p in &pats {
@@ -250,7 +242,7 @@ fn worker_panic_fails_batch_without_hanging_drain() {
         .iter()
         .filter(|r| matches!(&r.outcome, QueryOutcome::Failed(m) if m.contains("worker panicked")))
         .count();
-    assert!(failed >= 1, "the poisoned batch must surface as Failed outcomes");
+    assert_eq!(failed, 1, "only the poisoned request fails");
     assert_eq!(results.len(), pats.len(), "every submitted request gets an outcome");
 
     // The worker respawned and the engine still serves correct answers.
@@ -271,10 +263,7 @@ fn worker_panic_fails_batch_without_hanging_drain() {
 #[test]
 fn expired_deadlines_time_out_while_live_requests_complete() {
     let (a, s) = paper_spine();
-    let engine = QueryEngine::new(
-        Arc::new(s),
-        EngineConfig { workers: 1, batch_max: 8, ..Default::default() },
-    );
+    let engine = QueryEngine::new(Arc::new(s), EngineConfig { workers: 1, ..Default::default() });
     let past = Instant::now() - Duration::from_secs(1);
     let future = Instant::now() + Duration::from_secs(120);
     let dead = engine.submit_with_deadline(a.encode(b"CA").unwrap(), past).unwrap();
@@ -323,10 +312,8 @@ fn dead_after_build(a: &Alphabet, text: &[Code]) -> DiskSpine {
 fn engine_over_disk_spine_degrades_on_hard_fault() {
     let (a, text, patterns) = disk_workload();
     let disk = dead_after_build(&a, &text);
-    let engine = QueryEngine::new(
-        Arc::new(disk),
-        EngineConfig { workers: 2, batch_max: 4, ..Default::default() },
-    );
+    let engine =
+        QueryEngine::new(Arc::new(disk), EngineConfig { workers: 2, ..Default::default() });
     for p in &patterns {
         engine.submit(p.clone()).unwrap();
     }
@@ -352,10 +339,8 @@ fn engine_over_retry_wrapped_flaky_disk_matches_oracle() {
     let flaky = FlakyDevice::with_probability(MemDevice::new(), 0.05, 0xDECAF);
     let retry = RetryDevice::new(flaky, RetryPolicy::immediate(8));
     let disk = DiskSpine::build(a, &text, Box::new(retry), 2, Box::<Lru>::default()).unwrap();
-    let engine = QueryEngine::new(
-        Arc::new(disk),
-        EngineConfig { workers: 3, batch_max: 4, ..Default::default() },
-    );
+    let engine =
+        QueryEngine::new(Arc::new(disk), EngineConfig { workers: 3, ..Default::default() });
     for p in &patterns {
         engine.submit(p.clone()).unwrap();
     }

@@ -6,15 +6,16 @@
 //! want from the paper's "more amenable for integration with database
 //! engines" pitch.
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crossbeam::thread;
 use genseq::preset;
-use spine::engine::{EngineConfig, QueryEngine};
+use spine::engine::{EngineConfig, QueryEngine, QueryOutcome, ServeIndex};
 use spine::occurrences::find_all_ends;
 use spine::ops::SpineOps;
 use spine::{CompactSpine, Spine};
-use strindex::{Code, MatchingIndex, StringIndex};
+use strindex::{Code, CountersSnapshot, MatchingIndex, StringIndex};
 use suffix_tree::SuffixTree;
 
 fn is_sync<T: Sync>() {}
@@ -80,8 +81,8 @@ fn parallel_matching_statistics() {
 /// Hammer one shared [`QueryEngine`] from many submitter threads at once.
 ///
 /// Every drained result must equal the serial backbone scan for its
-/// pattern, regardless of which worker answered it, how requests were
-/// coalesced into batches, or in what order threads reached the queue.
+/// pattern, regardless of which worker answered it or in what order
+/// threads reached the queue.
 #[test]
 fn query_engine_stress_many_submitters() {
     let p = preset("eco-sim").unwrap();
@@ -92,7 +93,7 @@ fn query_engine_stress_many_submitters() {
         (0..48).map(|i| text[(i * 131) % (text.len() - 10)..][..3 + i % 8].to_vec()).collect();
     let serial: Vec<Vec<u32>> = patterns.iter().map(|p| find_all_ends(index.as_ref(), p)).collect();
 
-    let cfg = EngineConfig { workers: 4, batch_max: 8, ..Default::default() };
+    let cfg = EngineConfig { workers: 4, ..Default::default() };
     let engine = QueryEngine::new(Arc::clone(&index), cfg);
     let submitters = 6;
     thread::scope(|s| {
@@ -128,8 +129,66 @@ fn query_engine_stress_many_submitters() {
 
     let m = engine.metrics();
     assert_eq!(m.completed, (submitters * patterns.len()) as u64);
-    assert!(m.batches() <= m.completed, "coalescing can only reduce scans");
+    assert_eq!(m.batches(), m.completed, "one index call per request");
     assert!(m.index.nodes_checked > 0);
+}
+
+/// A [`Spine`] behind a [`ServeIndex`] that counts its calls and fails the
+/// test if any call carries more than one pattern.
+struct OnePerCall {
+    inner: Spine,
+    calls: AtomicU64,
+}
+
+impl ServeIndex for OnePerCall {
+    fn answer_patterns(&self, patterns: &[&[Code]]) -> Vec<QueryOutcome> {
+        assert_eq!(patterns.len(), 1, "the engine sends one pattern per call");
+        self.calls.fetch_add(1, Relaxed);
+        self.inner.answer_patterns(patterns)
+    }
+
+    fn counters_snapshot(&self) -> CountersSnapshot {
+        self.inner.counters_snapshot()
+    }
+}
+
+/// Concurrent submitters over two workers: every index call carries one
+/// pattern, and the engine's index-call count equals the calls the index
+/// saw and the queries the workers answered.
+#[test]
+fn query_engine_sends_one_pattern_per_call() {
+    let p = preset("eco-sim").unwrap();
+    let text = p.generate(0.001);
+    let spine = Spine::build(p.alphabet(), &text).unwrap();
+    let index = Arc::new(OnePerCall { inner: spine, calls: AtomicU64::new(0) });
+    let engine =
+        QueryEngine::new(Arc::clone(&index), EngineConfig { workers: 2, ..Default::default() });
+
+    let (submitters, each) = (4, 100);
+    thread::scope(|s| {
+        for t in 0..submitters {
+            let (engine, text) = (&engine, &text);
+            s.spawn(move |_| {
+                let ids = engine.submit_batch((0..each).map(|i| {
+                    let at = (i * 53 + t * 17) % (text.len() - 8);
+                    text[at..at + 3 + i % 6].to_vec()
+                }));
+                assert!(ids.iter().all(|id| id.is_ok()));
+            });
+        }
+    })
+    .unwrap();
+
+    let results = engine.drain();
+    assert_eq!(results.len(), submitters * each);
+    for r in &results {
+        assert_eq!(r.expect_ends(), find_all_ends(&index.inner, &r.pattern));
+    }
+    let m = engine.metrics();
+    assert_eq!(m.completed, (submitters * each) as u64);
+    assert_eq!(m.batches(), m.completed);
+    assert_eq!(m.batches(), index.calls.load(Relaxed));
+    assert_eq!(m.mean_batch(), 1.0);
 }
 
 /// Drain from one thread while another is still submitting: drain must not
@@ -139,7 +198,7 @@ fn query_engine_drain_races_with_submit() {
     let p = preset("eco-sim").unwrap();
     let text = p.generate(0.001);
     let index = Arc::new(Spine::build(p.alphabet(), &text).unwrap());
-    let cfg = EngineConfig { workers: 2, batch_max: 4, ..Default::default() };
+    let cfg = EngineConfig { workers: 2, ..Default::default() };
     let engine = QueryEngine::new(index, cfg);
 
     let total = 200usize;

@@ -155,7 +155,7 @@ fn engine_ledger_holds_under_mutation_and_background_merge() {
     let merger = spawn_merger(Arc::clone(&store), Duration::from_millis(1));
     let engine = Arc::new(QueryEngine::new(
         Arc::clone(&store),
-        EngineConfig { workers: 3, batch_max: 8, ..Default::default() },
+        EngineConfig { workers: 3, ..Default::default() },
     ));
 
     // Writer: a stream of adds and retires racing the query traffic.

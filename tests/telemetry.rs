@@ -89,7 +89,7 @@ fn span_ring_wraps_keeping_newest() {
 }
 
 /// The differential check behind `exp serve --metrics`: with ONE worker, the
-/// busy stages (batch formation, index scan, result merge) are strictly
+/// busy stages (index scan, result merge) are strictly
 /// sequential segments of that worker's life, so their recorded sum must be
 /// bounded by the whole run's wall time.
 #[test]
@@ -101,7 +101,7 @@ fn single_worker_busy_stages_bounded_by_wall_time() {
         (0..300).map(|i| text[i * 61 % (text.len() - 16)..][..8 + i % 8].to_vec()).collect();
 
     let registry = Arc::new(MetricsRegistry::new());
-    let cfg = EngineConfig { workers: 1, batch_max: 16, ..Default::default() };
+    let cfg = EngineConfig { workers: 1, ..Default::default() };
     let engine = QueryEngine::with_telemetry(index, cfg, Arc::clone(&registry));
 
     let start = Instant::now();
@@ -124,7 +124,7 @@ fn single_worker_busy_stages_bounded_by_wall_time() {
         "busy stages {busy:.6}s exceed single-worker wall {wall:.6}s"
     );
     // Each busy stage individually recorded work.
-    for stage in [Stage::BatchFormation, Stage::IndexScan, Stage::ResultMerge] {
+    for stage in [Stage::IndexScan, Stage::ResultMerge] {
         assert!(
             !snap.stage(stage).expect("stage registered").is_empty(),
             "no samples for {}",
@@ -323,7 +323,7 @@ fn chrome_trace_export_matches_schema() {
     let reg = MetricsRegistry::new();
     let epoch = reg.epoch();
     reg.record_span("q1", epoch, std::time::Duration::from_micros(40));
-    reg.record_span("w2.batch", epoch, std::time::Duration::from_micros(75));
+    reg.record_span("q2.explain", epoch, std::time::Duration::from_micros(75));
     reg.record_span("flush", epoch, std::time::Duration::from_micros(5));
     let doc = parse_json(&reg.snapshot().to_chrome_trace()).expect("chrome trace must parse");
 
@@ -344,9 +344,10 @@ fn chrome_trace_export_matches_schema() {
         }
         names.push(e.get("name").and_then(Json::as_str).unwrap().to_string());
     }
-    assert_eq!(names, ["q1", "w2.batch", "flush"]);
-    // Query and worker spans land on different tracks.
-    assert_ne!(events[1].get("tid"), events[2].get("tid"));
+    assert_eq!(names, ["q1", "q2.explain", "flush"]);
+    // Query spans share a track; other spans land on another.
+    assert_eq!(events[1].get("tid"), events[2].get("tid"));
+    assert_ne!(events[2].get("tid"), events[3].get("tid"));
 }
 
 /// Adversarial span names — quotes, backslashes, newlines, control bytes —
